@@ -158,6 +158,8 @@ def _cmd_experiment(args) -> int:
         algorithms = parse_algorithms(args.algos)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if args.plot and not {"a1", "b1"} <= {a.name for a in algorithms}:
+        raise UsageError("--plot draws the b1/a1 ratio, so --algos must include a1 and b1")
     cfg = ExperimentConfig(
         n_values=args.n,
         m_rule=m_rule,

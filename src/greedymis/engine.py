@@ -66,7 +66,7 @@ def initial_generation(g: Graph, k: int) -> Generation:
     """All independent k-subsets of V(g) in lexicographic order."""
     if k < 1:
         raise ValueError(f"initial cardinality must be >= 1, got {k}")
-    adj = g._adj
+    adj = g.adj
     sets = []
     for combo in combinations(range(g.n), k):
         blocked = 0
@@ -90,7 +90,7 @@ def _expand_masks(
     round is deterministic for a fixed input order.
     """
     n = g.n
-    adj = g._adj
+    adj = g.adj
     nadj = [~a for a in adj]
     full = g.full_mask
     c = cardinality

@@ -28,7 +28,7 @@ def exact_mis(g: Graph) -> OracleResult:
     n = g.n
     if n == 0:
         return OracleResult(0, ())
-    adj = g._adj
+    adj = g.adj
     closed = [adj[v] | (1 << v) for v in range(n)]
     best_size = 0
     best_mask = 0
@@ -77,7 +77,7 @@ def brute_force_mis(g: Graph) -> OracleResult:
         raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_LIMIT}, got {n}")
     if n == 0:
         return OracleResult(0, ())
-    adj = g._adj
+    adj = g.adj
     independent = bytearray(1 << n)
     independent[0] = 1
     best_size = 0

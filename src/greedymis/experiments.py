@@ -16,6 +16,7 @@ reproducible and reruns are byte-identical.
 from __future__ import annotations
 
 import signal
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -277,31 +278,35 @@ def _map_runs(worker, argslist, jobs: int):
         return list(pool.map(worker, argslist, chunksize=chunk))
 
 
+def _cell_results(cfg: ExperimentConfig, worker, jobs: int, *extra):
+    """Run every run of every cell in one fan-out; yield (n, m, results) per cell."""
+    cells = cfg.cells()
+    args = [
+        (n, m, derive_seed(cfg.base_seed, n, m, r), cfg.algorithms, *extra)
+        for n, m in cells
+        for r in range(cfg.runs)
+    ]
+    results = _map_runs(worker, args, jobs)
+    for i, (n, m) in enumerate(cells):
+        yield n, m, results[i * cfg.runs : (i + 1) * cfg.runs]
+
+
 def run_failure_experiment(
     cfg: ExperimentConfig, *, jobs: int = 1, oracle_timeout: float | None = None
 ) -> FailureReport:
-    """Count runs where a greedy size falls below alpha, per cell and algorithm."""
-    names = tuple(a.name for a in cfg.algorithms)
+    """Count runs where a greedy size falls below alpha, per cell and algorithm.
+
+    A failure is a nonzero gap of the paired accuracy histogram.
+    """
+    acc = run_accuracy_experiment(cfg, jobs=jobs, oracle_timeout=oracle_timeout)
     cells = []
-    for n, m in cfg.cells():
-        args = [
-            (n, m, derive_seed(cfg.base_seed, n, m, r), cfg.algorithms, oracle_timeout)
-            for r in range(cfg.runs)
-        ]
-        counts = dict.fromkeys(names, 0)
-        counted = 0
-        timeouts = 0
-        for result in _map_runs(_oracle_worker, args, jobs):
-            if result is None:
-                timeouts += 1
-                continue
-            counted += 1
-            alpha, sizes = result
-            for name, size in zip(names, sizes):
-                if size < alpha:
-                    counts[name] += 1
-        cells.append(FailureCell(n, m, counted, counts, timeouts))
-    return FailureReport(names, cfg.base_seed, tuple(cells))
+    for cell in acc.cells:
+        failures = {
+            name: sum(count for gap, count in cell.gaps[name].items() if gap > 0)
+            for name in acc.algorithms
+        }
+        cells.append(FailureCell(cell.n, cell.m, cell.runs, failures, cell.oracle_timeouts))
+    return FailureReport(acc.algorithms, acc.base_seed, tuple(cells))
 
 
 def run_accuracy_experiment(
@@ -310,24 +315,14 @@ def run_accuracy_experiment(
     """Record the full alpha - A(G) gap histogram, per cell and algorithm."""
     names = tuple(a.name for a in cfg.algorithms)
     cells = []
-    for n, m in cfg.cells():
-        args = [
-            (n, m, derive_seed(cfg.base_seed, n, m, r), cfg.algorithms, oracle_timeout)
-            for r in range(cfg.runs)
-        ]
-        hists: dict[str, dict[int, int]] = {name: {} for name in names}
-        counted = 0
-        timeouts = 0
-        for result in _map_runs(_oracle_worker, args, jobs):
-            if result is None:
-                timeouts += 1
-                continue
-            counted += 1
-            alpha, sizes = result
-            for name, size in zip(names, sizes):
-                gap = alpha - size
-                hists[name][gap] = hists[name].get(gap, 0) + 1
-        cells.append(AccuracyCell(n, m, counted, hists, timeouts))
+    for n, m, results in _cell_results(cfg, _oracle_worker, jobs, oracle_timeout):
+        paired = [result for result in results if result is not None]
+        hists = {
+            name: dict(Counter(alpha - sizes[i] for alpha, sizes in paired))
+            for i, name in enumerate(names)
+        }
+        timeouts = len(results) - len(paired)
+        cells.append(AccuracyCell(n, m, len(paired), hists, timeouts))
     return AccuracyReport(names, cfg.base_seed, tuple(cells))
 
 
@@ -341,17 +336,10 @@ def run_workload_experiment(
     """
     names = tuple(a.name for a in cfg.algorithms)
     cells = []
-    for n, m in cfg.cells():
-        args = [
-            (n, m, derive_seed(cfg.base_seed, n, m, r), cfg.algorithms)
-            for r in range(cfg.runs)
-        ]
-        evals = dict.fromkeys(names, 0)
-        checks = dict.fromkeys(names, 0)
-        for result in _map_runs(_counter_worker, args, jobs):
-            for name, (ev, ch) in zip(names, result):
-                evals[name] = max(evals[name], ev)
-                checks[name] = max(checks[name], ch)
+    for n, m, results in _cell_results(cfg, _counter_worker, jobs):
+        per_algo = dict(zip(names, zip(*results)))  # name -> (evals, checks) per run
+        evals = {name: max(ev for ev, _ in runs) for name, runs in per_algo.items()}
+        checks = {name: max(ch for _, ch in runs) for name, runs in per_algo.items()}
         cells.append(WorkloadCell(n, m, evals, checks))
     return WorkloadReport(names, cfg.base_seed, tuple(cells))
 

@@ -44,10 +44,11 @@ class Graph:
     """Simple undirected graph with bitmask adjacency.
 
     ``edges`` may contain duplicates and either orientation; they are
-    normalized to (u, v) with u < v and deduplicated.
+    normalized to (u, v) with u < v and deduplicated.  ``adj`` is the
+    immutable tuple of neighborhood bitmasks, one per vertex; never rebind it.
     """
 
-    __slots__ = ("n", "_adj", "_edges")
+    __slots__ = ("n", "adj", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
@@ -61,7 +62,7 @@ class Graph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self.n = n
-        self._adj = tuple(adj)
+        self.adj = tuple(adj)
         self._edges = tuple(
             (u, v) for u in range(n) for v in bits_of(adj[u] >> (u + 1) << (u + 1))
         )
@@ -80,24 +81,24 @@ class Graph:
         return (1 << self.n) - 1
 
     def adjacency_mask(self, v: int) -> int:
-        return self._adj[v]
+        return self.adj[v]
 
     def adjacent(self, u: int, v: int) -> bool:
-        return bool(self._adj[u] >> v & 1)
+        return bool(self.adj[u] >> v & 1)
 
     def neighbors(self, v: int) -> VertexSet:
-        return to_vertex_set(self._adj[v])
+        return to_vertex_set(self.adj[v])
 
     def degree(self, v: int) -> int:
-        return self._adj[v].bit_count()
+        return self.adj[v].bit_count()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._adj == other._adj
+        return self.n == other.n and self.adj == other.adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj))
+        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

@@ -9,7 +9,9 @@ independent set S:
   non-neighbors, where the stability of a graph H on o vertices is
   sum(o / (deg_H(v) + 1) for v in V(H)).
 
-Scores are exact rationals (`fractions.Fraction`), so ties are detected
+:func:`score` returns exact rationals (`fractions.Fraction`); the engine
+compares the same values as integers over the shared denominator
+lcm(1..n) from :func:`stability_weights`.  Either way ties are detected
 exactly and comparisons never depend on floating-point rounding.
 """
 
@@ -20,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .graph import Graph, mask_of, non_neighbors
+from .graph import Graph, induced_subgraph, non_neighbors
 
 Score = Fraction
 
@@ -40,23 +42,6 @@ def stability_weights(n: int) -> tuple[int, tuple[int, ...]]:
     """
     den = lcm(*range(1, n + 1)) if n > 0 else 1
     return den, tuple(den // (d + 1) for d in range(n))
-
-
-def scaled_stability(adj: tuple[int, ...], umask: int, weights: tuple[int, ...]) -> int:
-    """Integer numerator of the stability of the subgraph induced on ``umask``.
-
-    ``adj`` are parent-graph adjacency masks and ``weights`` the table from
-    :func:`stability_weights` for the parent order; the implied denominator
-    is the matching L.
-    """
-    o = umask.bit_count()
-    total = 0
-    mm = umask
-    while mm:
-        low = mm & -mm
-        mm ^= low
-        total += weights[(adj[low.bit_length() - 1] & umask).bit_count()]
-    return o * total
 
 
 def stability(h_graph: Graph) -> Score:
@@ -79,13 +64,11 @@ def score(g: Graph, s: tuple[int, ...], v: int, h: Heuristic) -> Score:
     With U' the common non-neighbors of s ∪ {v}: heuristic A scores |U'|,
     heuristic B scores the stability of the subgraph induced on U'.  Both
     score 0 when U' is empty.  ``v`` must itself be a non-neighbor of ``s``.
+    It is the exact reference for the engine's inline integer keys.
     """
-    pool = non_neighbors(g, s)
-    if v not in pool:
+    if v not in non_neighbors(g, s):
         raise ValueError(f"vertex {v} is not a non-neighbor of {tuple(s)}")
-    u2 = mask_of(pool) & ~g.adjacency_mask(v) & ~(1 << v)
+    pool = non_neighbors(g, (*s, v))
     if h is Heuristic.A:
-        return Fraction(u2.bit_count())
-    den, weights = stability_weights(g.n)
-    adj = tuple(g.adjacency_mask(w) for w in range(g.n))
-    return Fraction(scaled_stability(adj, u2, weights), den)
+        return Fraction(len(pool))
+    return stability(induced_subgraph(g, pool))

@@ -125,6 +125,18 @@ class TestExperiment:
         ]
         assert main(args) == 1
 
+    def test_plot_requires_a1_and_b1(self, tmp_path, capsys):
+        out, plot = tmp_path / "w.csv", tmp_path / "w.svg"
+        args = [
+            "experiment", "workload", "--n", "10", "--m", "9,22", "--runs", "1",
+            "--seed", "8", "--algos", "a1,b2", "--out", str(out), "--plot", str(plot),
+        ]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not out.exists() and not plot.exists()
+
     def test_missing_m_is_usage_error(self, capsys):
         args = ["experiment", "failure", "--n", "10", "--runs", "2",
                 "--seed", "1", "--algos", "a1"]

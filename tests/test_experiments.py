@@ -1,5 +1,6 @@
 """Experiment harness: formula, seeding, runners, CSV/plot emission."""
 
+import hashlib
 from fractions import Fraction
 from math import comb, log
 
@@ -237,3 +238,39 @@ class TestEmission:
     def test_unsupported_report_type(self):
         with pytest.raises(TypeError):
             emit_csv(object())
+
+
+# SHA-256 of each runner's CSV (and the workload SVG) on small multi-cell
+# grids.  The digests were recorded from an earlier implementation of the
+# runners, so a refactor that drifts a single byte fails here rather than
+# only against a rerun of itself.
+GOLDEN = {
+    "failure": (
+        run_failure_experiment,
+        ExperimentConfig((24, 32), "4n", parse_algorithms("a1,a2"), 30, 3),
+        "9f0bc12aafa9473682f1a6926b55d09426d499429d1243eb14abb9d7eda362e8",
+        None,
+    ),
+    "accuracy": (
+        run_accuracy_experiment,
+        ExperimentConfig((32, 40), "4n", parse_algorithms("a1"), 30, 1),
+        "d6c53b74d194e3b289886a3fc73cd5ee856ccfb230b0199112f8084424db94cd",
+        None,
+    ),
+    "workload": (
+        run_workload_experiment,
+        ExperimentConfig((8, 10), (7, 14, 21), parse_algorithms("a1,b1,b2"), 3, 8),
+        "87801ef95c0f489a468f3142fd266c741f3c628480c1a3daab5269ba25f5ea03",
+        "08628e676365654740df1b32e0b0e9fc19038fc0de47500772fa7bac6c4a384f",
+    ),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("kind", sorted(GOLDEN))
+def test_golden_digests(kind, jobs):
+    run, cfg, csv_digest, svg_digest = GOLDEN[kind]
+    report = run(cfg, jobs=jobs)
+    assert hashlib.sha256(emit_csv(report)).hexdigest() == csv_digest
+    if svg_digest is not None:
+        assert hashlib.sha256(emit_plot(report)).hexdigest() == svg_digest
