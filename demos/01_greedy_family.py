@@ -32,7 +32,7 @@ for label, g in GRAPHS.items():
     witness = None
     for spec in MEMBERS:
         try:
-            res = gm.run_greedy(g, gm.EngineConfig(spec.heuristic, spec.k))
+            res = gm.run_greedy(g, spec)
             sizes.append(str(res.size))
             if spec.name == "a1":
                 witness = res.witness

@@ -18,13 +18,11 @@ from .engine import (
     initial_generation,
     run_greedy,
 )
-from .exact import OracleResult, brute_force_mis, exact_mis
+from .exact import OracleResult, OracleTimeout, brute_force_mis, exact_mis
 from .experiments import (
     AccuracyReport,
-    AlgorithmSpec,
     ExperimentConfig,
     FailureReport,
-    OracleTimeout,
     WorkloadReport,
     density_grid,
     emit_csv,
@@ -51,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyReport",
-    "AlgorithmSpec",
     "EngineConfig",
     "ExperimentConfig",
     "FailureReport",

@@ -2,8 +2,9 @@
 
 Subcommands: solve, oracle, generate, formula, experiment.  Exit codes:
 0 success, 1 usage error, 2 input/parse error, 3 infeasible request
-(no seed sets, oracle timeout).  All randomness is seed-pinned, so an
-identical argv produces byte-identical output files.
+(no seed sets, or the oracle search passed --max-nodes).  All randomness
+is seed-pinned and the oracle budget counts search nodes, not seconds, so
+an identical argv produces byte-identical output files on any machine.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from pathlib import Path
 
 from .dimacs import GraphParseError, read_graph, write_graph
 from .engine import EngineConfig, NoSeedSetsError, run_greedy
-from .exact import exact_mis
+from .exact import OracleTimeout, exact_mis
 from .experiments import (
     ExperimentConfig,
-    OracleTimeout,
     emit_csv,
     emit_plot,
     log_base,
@@ -26,7 +26,6 @@ from .experiments import (
     run_failure_experiment,
     run_workload_experiment,
     tau_edgeless,
-    time_limit,
 )
 from .graph import GraphError, random_gnm
 from .heuristics import Heuristic
@@ -48,6 +47,12 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="greedymis", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -59,7 +64,7 @@ def _build_parser() -> _Parser:
 
     p_oracle = sub.add_parser("oracle", help="exact independence number of a graph file")
     p_oracle.add_argument("--graph", required=True)
-    p_oracle.add_argument("--timeout", type=float, default=None, help="seconds")
+    p_oracle.add_argument("--max-nodes", type=_positive_int, help="search-node budget")
 
     p_gen = sub.add_parser("generate", help="write a seeded uniform G(n,m) graph")
     p_gen.add_argument("--n", type=int, required=True)
@@ -86,12 +91,14 @@ def _build_parser() -> _Parser:
         help="edge-count rule; 4n ignores --m",
     )
     p_exp.add_argument("--algos", required=True, help="e.g. a1,b1,a2,b2")
-    p_exp.add_argument("--runs", type=int, default=1)
+    p_exp.add_argument("--runs", type=_positive_int, default=1)
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--out", help="CSV output path")
     p_exp.add_argument("--plot", help="SVG output path (workload only)")
-    p_exp.add_argument("--jobs", type=int, default=1)
-    p_exp.add_argument("--timeout", type=float, default=None, help="oracle seconds per run")
+    p_exp.add_argument("--jobs", type=_positive_int, default=1)
+    p_exp.add_argument(
+        "--max-nodes", type=_positive_int, help="oracle search-node budget per run"
+    )
     return parser
 
 
@@ -117,8 +124,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = _load_graph(args.graph)
-    with time_limit(args.timeout):
-        result = exact_mis(g)
+    result = exact_mis(g, args.max_nodes)
     witness = ",".join(map(str, result.witness))
     print(f"alpha={result.alpha} witness={witness}")
     return 0
@@ -146,8 +152,8 @@ def _cmd_formula(args) -> int:
 def _cmd_experiment(args) -> int:
     if args.plot and args.kind != "workload":
         raise UsageError("--plot is supported for workload experiments only")
-    if args.kind == "workload" and args.timeout is not None:
-        raise UsageError("--timeout applies to failure/accuracy experiments only")
+    if args.kind == "workload" and args.max_nodes is not None:
+        raise UsageError("--max-nodes applies to failure/accuracy experiments only")
     if args.m_rule == "4n":
         m_rule: int | str | tuple[int, ...] = "4n"
     elif args.m is None:
@@ -168,7 +174,9 @@ def _cmd_experiment(args) -> int:
         base_seed=args.seed,
     )
     if args.kind == "failure":
-        report = run_failure_experiment(cfg, jobs=args.jobs, oracle_timeout=args.timeout)
+        report = run_failure_experiment(
+            cfg, jobs=args.jobs, oracle_max_nodes=args.max_nodes
+        )
         for cell in report.cells:
             summary = " ".join(
                 f"{name}={cell.failures[name]}/{cell.runs}" for name in report.algorithms
@@ -178,7 +186,9 @@ def _cmd_experiment(args) -> int:
                 line += f" oracle-timeouts={cell.oracle_timeouts}"
             print(line)
     elif args.kind == "accuracy":
-        report = run_accuracy_experiment(cfg, jobs=args.jobs, oracle_timeout=args.timeout)
+        report = run_accuracy_experiment(
+            cfg, jobs=args.jobs, oracle_max_nodes=args.max_nodes
+        )
         for cell in report.cells:
             for name in report.algorithms:
                 hist = " ".join(f"gap{g}={c}" for g, c in sorted(cell.gaps[name].items()))
@@ -222,11 +232,8 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphParseError, GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NoSeedSetsError as exc:
+    except (NoSeedSetsError, OracleTimeout) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OracleTimeout:
-        print("error: oracle timed out", file=sys.stderr)
         return 3
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)

@@ -31,12 +31,18 @@ class NoSeedSetsError(Exception):
 
 @dataclass(frozen=True)
 class EngineConfig:
+    """One family member: heuristic plus initial cardinality, e.g. a1 or b2."""
+
     heuristic: Heuristic
     k: int = 1
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"initial cardinality must be >= 1, got {self.k}")
+
+    @property
+    def name(self) -> str:
+        return f"{self.heuristic.value}{self.k}"
 
 
 @dataclass(frozen=True)

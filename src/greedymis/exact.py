@@ -4,8 +4,10 @@
 vertex (exclude it, or include it and delete its closed neighborhood),
 prune on the trivial |remaining| + |current| bound.  Vertices with at
 most one remaining neighbor are taken greedily, which is always safe for
-unweighted independence.  `brute_force_mis` scans every subset and exists
-to validate the control on small inputs.
+unweighted independence.  An optional budget caps the search nodes (calls
+of the recursion), so a limited search stops at the same point on every
+machine.  `brute_force_mis` scans every subset and exists to validate the
+control on small inputs.
 """
 
 from __future__ import annotations
@@ -23,8 +25,18 @@ class OracleResult:
     witness: VertexSet
 
 
-def exact_mis(g: Graph) -> OracleResult:
-    """Independence number of ``g`` with a maximum witness set."""
+class OracleTimeout(Exception):
+    """The exact oracle exceeded its search-node budget."""
+
+
+def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
+    """Independence number of ``g`` with a maximum witness set.
+
+    With ``max_nodes`` set, entering search node ``max_nodes + 1`` raises
+    OracleTimeout.  The node count depends on the graph, not the machine.
+    """
+    if max_nodes is not None and max_nodes < 1:
+        raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
     n = g.n
     if n == 0:
         return OracleResult(0, ())
@@ -32,9 +44,13 @@ def exact_mis(g: Graph) -> OracleResult:
     closed = [adj[v] | (1 << v) for v in range(n)]
     best_size = 0
     best_mask = 0
+    budget = -1 if max_nodes is None else max_nodes  # counts down; -1 never hits 0
 
     def visit(avail: int, size: int, chosen: int) -> None:
-        nonlocal best_size, best_mask
+        nonlocal best_size, best_mask, budget
+        if budget == 0:
+            raise OracleTimeout(f"oracle timed out after {max_nodes} search nodes")
+        budget -= 1
         while avail:
             # one scan: take any degree<=1 vertex, else remember the max-degree one
             take = 0

@@ -15,16 +15,14 @@ reproducible and reruns are byte-identical.
 
 from __future__ import annotations
 
-import signal
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log
 
 from .engine import EngineConfig, run_greedy
-from .exact import exact_mis
+from .exact import OracleTimeout, exact_mis
 from .graph import random_gnm
 from .heuristics import Heuristic
 from .rng import derive_seed
@@ -63,31 +61,17 @@ def density_grid(n: int, steps: int = 12) -> tuple[int, ...]:
     return tuple(grid)
 
 
-@dataclass(frozen=True)
-class AlgorithmSpec:
-    """One family member: heuristic plus initial cardinality, e.g. a1 or b2."""
-
-    heuristic: Heuristic
-    k: int
-
-    @property
-    def name(self) -> str:
-        return f"{self.heuristic.value}{self.k}"
-
-    @classmethod
-    def parse(cls, text: str) -> "AlgorithmSpec":
-        text = text.strip().lower()
-        if len(text) < 2 or text[0] not in ("a", "b") or not text[1:].isdigit():
-            raise ValueError(f"bad algorithm name {text!r} (expected e.g. a1, b2)")
-        return cls(Heuristic(text[0]), int(text[1:]))
-
-
-def parse_algorithms(text: str) -> tuple[AlgorithmSpec, ...]:
+def parse_algorithms(text: str) -> tuple[EngineConfig, ...]:
     """Parse a comma-separated algorithm list such as ``a1,b1,a2,b2``."""
-    specs = tuple(AlgorithmSpec.parse(part) for part in text.split(","))
+    specs = []
+    for part in text.split(","):
+        name = part.strip().lower()
+        if len(name) < 2 or name[0] not in ("a", "b") or not name[1:].isdigit():
+            raise ValueError(f"bad algorithm name {name!r} (expected e.g. a1, b2)")
+        specs.append(EngineConfig(Heuristic(name[0]), int(name[1:])))
     if len({s.name for s in specs}) != len(specs):
         raise ValueError(f"duplicate algorithm in {text!r}")
-    return specs
+    return tuple(specs)
 
 
 @dataclass(frozen=True)
@@ -100,7 +84,7 @@ class ExperimentConfig:
 
     n_values: tuple[int, ...]
     m_rule: int | str | tuple[int, ...]
-    algorithms: tuple[AlgorithmSpec, ...]
+    algorithms: tuple[EngineConfig, ...]
     runs: int
     base_seed: int
 
@@ -132,34 +116,11 @@ class ExperimentConfig:
         return tuple((n, m) for n in self.n_values for m in self.edge_counts(n))
 
 
-class OracleTimeout(Exception):
-    """The exact oracle exceeded its wall-clock budget for one run."""
-
-
-@contextmanager
-def time_limit(seconds: float | None):
-    """Raise OracleTimeout after ``seconds`` of wall time (SIGALRM based)."""
-    if seconds is None:
-        yield
-        return
-
-    def _on_alarm(signum, frame):
-        raise OracleTimeout()
-
-    old = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
-
-
 @dataclass(frozen=True)
 class FailureCell:
     n: int
     m: int
-    runs: int  # counted runs; oracle timeouts are excluded
+    runs: int  # counted runs; runs past the oracle budget are excluded
     failures: dict[str, int]
     oracle_timeouts: int = 0
 
@@ -248,14 +209,13 @@ class WorkloadReport:
 
 def _oracle_worker(args):
     """One paired run: alpha plus each algorithm's size on the same graph."""
-    n, m, seed, algorithms, timeout = args
+    n, m, seed, algorithms, max_nodes = args
     g = random_gnm(n, m, seed)
     try:
-        with time_limit(timeout):
-            alpha = exact_mis(g).alpha
+        alpha = exact_mis(g, max_nodes).alpha
     except OracleTimeout:
         return None
-    sizes = [run_greedy(g, EngineConfig(a.heuristic, a.k)).size for a in algorithms]
+    sizes = [run_greedy(g, a).size for a in algorithms]
     return alpha, sizes
 
 
@@ -265,7 +225,7 @@ def _counter_worker(args):
     g = random_gnm(n, m, seed)
     out = []
     for a in algorithms:
-        res = run_greedy(g, EngineConfig(a.heuristic, a.k))
+        res = run_greedy(g, a)
         out.append((res.stats.heuristic_evals, res.stats.adjacency_checks))
     return out
 
@@ -292,13 +252,13 @@ def _cell_results(cfg: ExperimentConfig, worker, jobs: int, *extra):
 
 
 def run_failure_experiment(
-    cfg: ExperimentConfig, *, jobs: int = 1, oracle_timeout: float | None = None
+    cfg: ExperimentConfig, *, jobs: int = 1, oracle_max_nodes: int | None = None
 ) -> FailureReport:
     """Count runs where a greedy size falls below alpha, per cell and algorithm.
 
     A failure is a nonzero gap of the paired accuracy histogram.
     """
-    acc = run_accuracy_experiment(cfg, jobs=jobs, oracle_timeout=oracle_timeout)
+    acc = run_accuracy_experiment(cfg, jobs=jobs, oracle_max_nodes=oracle_max_nodes)
     cells = []
     for cell in acc.cells:
         failures = {
@@ -310,12 +270,16 @@ def run_failure_experiment(
 
 
 def run_accuracy_experiment(
-    cfg: ExperimentConfig, *, jobs: int = 1, oracle_timeout: float | None = None
+    cfg: ExperimentConfig, *, jobs: int = 1, oracle_max_nodes: int | None = None
 ) -> AccuracyReport:
-    """Record the full alpha - A(G) gap histogram, per cell and algorithm."""
+    """Record the full alpha - A(G) gap histogram, per cell and algorithm.
+
+    Runs whose oracle search exceeds ``oracle_max_nodes`` nodes are left out
+    of the histogram and counted as ``oracle_timeouts``.
+    """
     names = tuple(a.name for a in cfg.algorithms)
     cells = []
-    for n, m, results in _cell_results(cfg, _oracle_worker, jobs, oracle_timeout):
+    for n, m, results in _cell_results(cfg, _oracle_worker, jobs, oracle_max_nodes):
         paired = [result for result in results if result is not None]
         hists = {
             name: dict(Counter(alpha - sizes[i] for alpha, sizes in paired))

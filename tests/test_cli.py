@@ -48,7 +48,7 @@ class TestOracle:
 
         path = tmp_path / "big.col"
         path.write_bytes(write_graph(random_gnm(90, 360, seed=5)))
-        assert main(["oracle", "--graph", str(path), "--timeout", "0.001"]) == 3
+        assert main(["oracle", "--graph", str(path), "--max-nodes", "100"]) == 3
         assert "timed out" in capsys.readouterr().err
 
 
@@ -146,6 +146,25 @@ class TestExperiment:
         args = ["experiment", "failure", "--n", "10", "--m", "40", "--runs", "2",
                 "--seed", "1", "--algos", "z9"]
         assert main(args) == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--runs", "0"],
+            ["--jobs", "0"],
+            ["--jobs", "-2"],
+            ["--max-nodes", "0"],
+            ["--max-nodes", "-1"],
+            ["--max-nodes", "1.5"],
+        ],
+    )
+    def test_count_flags_must_be_positive(self, flags, capsys):
+        args = ["experiment", "failure", "--n", "10", "--m", "40", "--seed", "1",
+                "--algos", "a1", *flags]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_infeasible_m_is_input_error(self, capsys):
         args = ["experiment", "failure", "--n", "10", "--m", "99", "--runs", "2",

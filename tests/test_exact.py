@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from greedymis import Graph, brute_force_mis, exact_mis, random_gnm
+from greedymis import Graph, OracleTimeout, brute_force_mis, exact_mis, random_gnm
 from greedymis.rng import SplitMix64
 
 PETERSEN = Graph(
@@ -41,6 +41,34 @@ class TestExactMis:
 
     def test_empty_graph(self):
         assert exact_mis(Graph(0)).alpha == 0
+
+
+class TestNodeBudget:
+    def test_complete_graph_boundary(self):
+        # K5: the root branches on 0, 1, 2 in turn, one child each: 4 nodes
+        assert exact_mis(complete(5), max_nodes=4).alpha == 1
+        with pytest.raises(OracleTimeout, match="after 3 search nodes"):
+            exact_mis(complete(5), max_nodes=3)
+
+    def test_edgeless_needs_one_node(self):
+        assert exact_mis(Graph(9), max_nodes=1).alpha == 9
+
+    def test_finished_search_is_unchanged(self):
+        rng = SplitMix64(77)
+        for _ in range(40):
+            n = 10 + rng.below(21)
+            g = random_gnm(n, rng.below(n * (n - 1) // 2 + 1), seed=rng.next_u64())
+            full = exact_mis(g)
+            for budget in (1, 10, 100, 10**6):
+                try:
+                    assert exact_mis(g, max_nodes=budget) == full
+                except OracleTimeout:
+                    assert budget < 10**6
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_rejects_budget_below_one(self, bad):
+        with pytest.raises(ValueError):
+            exact_mis(Graph(3), max_nodes=bad)
 
 
 class TestBruteForce:

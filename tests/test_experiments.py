@@ -1,13 +1,14 @@
 """Experiment harness: formula, seeding, runners, CSV/plot emission."""
 
 import hashlib
+import threading
 from fractions import Fraction
 from math import comb, log
 
 import pytest
 
 from greedymis import (
-    AlgorithmSpec,
+    EngineConfig,
     ExperimentConfig,
     FailureReport,
     Heuristic,
@@ -72,10 +73,10 @@ class TestSeedDerivation:
 class TestConfig:
     def test_parse_algorithms(self):
         specs = parse_algorithms("a1,b2")
-        assert specs == (AlgorithmSpec(Heuristic.A, 1), AlgorithmSpec(Heuristic.B, 2))
+        assert specs == (EngineConfig(Heuristic.A, 1), EngineConfig(Heuristic.B, 2))
         assert specs[0].name == "a1"
 
-    @pytest.mark.parametrize("bad", ["c1", "a", "1a", "a0x", "a1,a1"])
+    @pytest.mark.parametrize("bad", ["c1", "a", "1a", "a0x", "a1,a1", "a0"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_algorithms(bad)
@@ -144,13 +145,34 @@ class TestFailureExperiment:
 
     def test_oracle_timeout_excludes_runs(self):
         cfg = ExperimentConfig((90,), "4n", parse_algorithms("a1"), 2, 3)
-        report = run_failure_experiment(cfg, oracle_timeout=0.001)
+        report = run_failure_experiment(cfg, oracle_max_nodes=100)
         (cell,) = report.cells
         assert cell.oracle_timeouts == 2
         assert cell.runs == 0
         assert cell.ratio("a1") == 0
         lines = emit_csv(report).decode().splitlines()
         assert lines[1] == "90,360,0,a1,0,"
+
+    def test_node_budget_is_deterministic_across_jobs_and_threads(self):
+        # the two runs need 6148 and 5923 search nodes: a budget of 6000
+        # excludes exactly one, whatever the machine, pool or thread
+        cfg = ExperimentConfig((90,), "4n", parse_algorithms("a1"), 2, 3)
+        report = run_failure_experiment(cfg, oracle_max_nodes=6000)
+        (cell,) = report.cells
+        assert 0 < cell.oracle_timeouts < cfg.runs
+        serial = emit_csv(report)
+        pooled = run_failure_experiment(cfg, jobs=2, oracle_max_nodes=6000)
+        assert emit_csv(pooled) == serial
+        out = []
+
+        def off_main_thread():
+            out.append(emit_csv(run_failure_experiment(cfg, oracle_max_nodes=6000)))
+
+        thread = threading.Thread(target=off_main_thread)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert out == [serial]
 
 
 class TestAccuracyExperiment:
