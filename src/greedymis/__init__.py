@@ -14,6 +14,7 @@ from .engine import (
     GreedyResult,
     NoSeedSetsError,
     RunStats,
+    SeedLimitError,
     expand_generation,
     initial_generation,
     run_greedy,
@@ -63,6 +64,7 @@ __all__ = [
     "OracleTimeout",
     "RunStats",
     "Score",
+    "SeedLimitError",
     "SplitMix64",
     "VertexSet",
     "WorkloadReport",

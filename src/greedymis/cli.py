@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: solve, oracle, generate, formula, experiment.  Exit codes:
-0 success, 1 usage error, 2 input/parse error, 3 infeasible request
-(no seed sets, or the oracle search passed --max-nodes).  All randomness
-is seed-pinned and the oracle budget counts search nodes, not seconds, so
-an identical argv produces byte-identical output files on any machine.
+0 success, 1 usage error, 2 input/parse error, 3 infeasible request (no
+seed sets, more than engine.MAX_SEEDS candidate seeds, or the oracle
+search passed --max-nodes).  All randomness is seed-pinned and the oracle
+budget counts search nodes, not seconds, so an identical argv produces
+byte-identical output files on any machine.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .dimacs import GraphParseError, read_graph, write_graph
-from .engine import EngineConfig, NoSeedSetsError, run_greedy
+from .engine import EngineConfig, NoSeedSetsError, SeedLimitError, run_greedy
 from .exact import OracleTimeout, exact_mis
 from .experiments import (
     ExperimentConfig,
@@ -60,7 +61,7 @@ def _build_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="run one greedy family member on a graph file")
     p_solve.add_argument("--graph", required=True, help="edge-list graph file")
     p_solve.add_argument("--heuristic", choices=("a", "b"), required=True)
-    p_solve.add_argument("--k", type=int, default=1, help="initial set cardinality")
+    p_solve.add_argument("--k", type=_positive_int, default=1, help="initial set cardinality")
 
     p_oracle = sub.add_parser("oracle", help="exact independence number of a graph file")
     p_oracle.add_argument("--graph", required=True)
@@ -75,8 +76,8 @@ def _build_parser() -> _Parser:
     p_formula = sub.add_parser(
         "formula", help="edgeless-graph evaluation count and its log-n form"
     )
-    p_formula.add_argument("--n", type=int, required=True)
-    p_formula.add_argument("--k", type=int, required=True)
+    p_formula.add_argument("--n", type=_positive_int, required=True)
+    p_formula.add_argument("--k", type=_positive_int, required=True)
 
     p_exp = sub.add_parser("experiment", help="run a seeded experiment grid")
     p_exp.add_argument(
@@ -232,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphParseError, GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NoSeedSetsError, OracleTimeout) as exc:
+    except (NoSeedSetsError, SeedLimitError, OracleTimeout) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SystemExit as exc:  # argparse --help

@@ -1,10 +1,18 @@
 """The greedy algorithm family.
 
-A run starts from every independent k-subset of the graph and grows all
-sets in lockstep rounds: each set scores every vertex of its candidate
-pool with the configured heuristic, adopts the best one (ties broken
-toward the lowest vertex id), and sets that cannot grow drop out.  The
-run ends when no set can grow; the answer is the cardinality reached.
+A run starts from every independent k-subset of the graph.  Each set
+scores every vertex of its candidate pool with the configured heuristic
+and adopts the best one (ties broken toward the lowest vertex id); a set
+whose pool is empty is terminal.  The answer is the largest cardinality
+reached.
+
+Every set has exactly one child, one vertex larger, so the paper's
+lockstep rounds with per-generation dedup visit exactly the sets met by
+following each seed's chain until it reaches a set already visited.  The
+engine runs in that chain form: each distinct set is expanded once and
+the per-cardinality visit counts are the lockstep generation sizes.  An
+optional ``target`` stops the run at the first visited set of at least
+that cardinality (the result is then marked incomplete).
 
 Instrumentation counters charge a fixed machine-independent cost model:
 computing the common non-neighbors of a c-set costs c*(n-c) adjacency
@@ -14,11 +22,15 @@ induced degrees plus |U'| for evaluating the stability terms.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 
 from .graph import Graph, VertexSet, mask_of, to_vertex_set
 from .heuristics import Heuristic, stability_weights
+
+MAX_SEEDS = 10**6  # largest C(n, k) a run may enumerate
 
 
 class NoSeedSetsError(Exception):
@@ -26,6 +38,17 @@ class NoSeedSetsError(Exception):
 
     def __init__(self, k: int) -> None:
         super().__init__(f"no independent set of cardinality {k} exists")
+        self.k = k
+
+
+class SeedLimitError(Exception):
+    """C(n, k) exceeds MAX_SEEDS, so seeding alone would not finish."""
+
+    def __init__(self, n: int, k: int) -> None:
+        super().__init__(
+            f"C({n},{k}) = {comb(n, k)} candidate seed sets exceed the limit {MAX_SEEDS}"
+        )
+        self.n = n
         self.k = k
 
 
@@ -66,14 +89,17 @@ class GreedyResult:
     size: int
     witness: VertexSet
     stats: RunStats
+    complete: bool = True  # False after a ``target`` stop: stats are partial
 
 
-def initial_generation(g: Graph, k: int) -> Generation:
-    """All independent k-subsets of V(g) in lexicographic order."""
+def _seeds(g: Graph, k: int) -> Iterator[VertexSet]:
+    """Independent k-subsets of V(g) in lexicographic order, streamed."""
     if k < 1:
         raise ValueError(f"initial cardinality must be >= 1, got {k}")
+    if comb(g.n, k) > MAX_SEEDS:
+        raise SeedLimitError(g.n, k)
     adj = g.adj
-    sets = []
+    found = False
     for combo in combinations(range(g.n), k):
         blocked = 0
         for v in combo:
@@ -81,48 +107,46 @@ def initial_generation(g: Graph, k: int) -> Generation:
                 break
             blocked |= adj[v]
         else:
-            sets.append(combo)
-    if not sets:
+            found = True
+            yield combo
+    if not found:
         raise NoSeedSetsError(k)
-    return Generation(tuple(sets), k)
 
 
-def _expand_masks(
-    g: Graph, masks: list[int], cardinality: int, h: Heuristic, stats: RunStats
-) -> list[int]:
-    """One growth round over set bitmasks; returns deduplicated children.
+def initial_generation(g: Graph, k: int) -> Generation:
+    """All independent k-subsets of V(g) in lexicographic order."""
+    return Generation(tuple(_seeds(g, k)), k)
 
-    Children appear in parent order with first occurrence kept, so the
-    round is deterministic for a fixed input order.
+
+def _stepper(g: Graph, h: Heuristic, stats: RunStats) -> Callable[[int, int], int]:
+    """Build ``child(smask, c)``: the c-set ``smask`` grown by its best candidate.
+
+    Returns 0 when the candidate pool is empty.  Every call charges the
+    set's pool and scoring cost to ``stats``.
     """
     n = g.n
     adj = g.adj
     nadj = [~a for a in adj]
     full = g.full_mask
-    c = cardinality
-    pool_cost = c * (n - c)
-    score_cost = (c + 1) * (n - c - 1)
     use_b = h is Heuristic.B
     weights = stability_weights(n)[1] if use_b else ()
     w0 = weights[0] if use_b else 0
-    evals = 0
-    checks = 0
-    seen: set[int] = set()
-    children: list[int] = []
-    for smask in masks:
+
+    def child(smask: int, c: int) -> int:
         blocked = smask
         mm = smask
         while mm:
             low = mm & -mm
             mm ^= low
             blocked |= adj[low.bit_length() - 1]
-        checks += pool_cost
+        checks = c * (n - c)
         pool = full & ~blocked
         if not pool:
-            continue
+            stats.adjacency_checks += checks
+            return 0
         width = pool.bit_count()
-        evals += width
-        checks += width * score_cost
+        stats.heuristic_evals += width
+        checks += width * (c + 1) * (n - c - 1)
         best_key = -1
         best_bit = 0
         mm = pool
@@ -156,13 +180,10 @@ def _expand_masks(
                 if key > best_key:
                     best_key = key
                     best_bit = low
-        child = smask | best_bit
-        if child not in seen:
-            seen.add(child)
-            children.append(child)
-    stats.heuristic_evals += evals
-    stats.adjacency_checks += checks
-    return children
+        stats.adjacency_checks += checks
+        return smask | best_bit
+
+    return child
 
 
 def expand_generation(
@@ -171,34 +192,56 @@ def expand_generation(
     """Grow every set of ``gen`` by its best-scoring candidate.
 
     Sets whose candidate pool is empty contribute nothing; the result is
-    deduplicated.  Scoring and pool computations are charged to ``stats``.
+    deduplicated, keeping first occurrences in parent order.  Scoring and
+    pool computations are charged to ``stats``.
     """
-    masks = [mask_of(s) for s in gen.sets]
-    children = _expand_masks(g, masks, gen.cardinality, h, stats)
+    child = _stepper(g, h, stats)
+    children = dict.fromkeys(child(mask_of(s), gen.cardinality) for s in gen.sets)
+    children.pop(0, None)
     return Generation(
         tuple(to_vertex_set(c) for c in children), gen.cardinality + 1
     )
 
 
-def run_greedy(g: Graph, cfg: EngineConfig) -> GreedyResult:
-    """Run the greedy family member (cfg.heuristic, cfg.k) to completion.
+def run_greedy(
+    g: Graph, cfg: EngineConfig, *, target: int | None = None
+) -> GreedyResult:
+    """Run the greedy family member (cfg.heuristic, cfg.k).
 
-    Returns the cardinality of the last nonempty generation, its
-    lexicographically smallest member as witness, and the accumulated
-    instrumentation.  Deterministic for a fixed graph and config.
+    Without ``target`` the run goes to completion and returns the largest
+    cardinality reached, the lexicographically smallest set of that
+    cardinality as witness, and the instrumentation of the lockstep
+    rounds.  With ``target`` it stops at the first set of cardinality
+    >= ``target``, which becomes the witness, and returns
+    ``complete=False`` with partial counters; a run that never reaches
+    ``target`` is the full run.  Deterministic for a fixed graph and config.
     """
-    gen = initial_generation(g, cfg.k)
     stats = RunStats()
-    stats.generation_sizes.append(len(gen.sets))
-    masks = [mask_of(s) for s in gen.sets]
-    cardinality = cfg.k
-    while True:
-        children = _expand_masks(g, masks, cardinality, cfg.heuristic, stats)
-        if not children:
-            break
-        masks = children
-        cardinality += 1
-        stats.rounds += 1
-        stats.generation_sizes.append(len(children))
-    witness = min(to_vertex_set(m) for m in masks)
-    return GreedyResult(cardinality, witness, stats)
+    sizes = stats.generation_sizes
+    child = _stepper(g, cfg.heuristic, stats)
+    k = cfg.k
+    visited: set[int] = set()
+    top = k
+    tops: list[int] = []  # terminal sets of cardinality top
+    for seed in _seeds(g, k):
+        smask = mask_of(seed)
+        c = k
+        while smask not in visited:
+            visited.add(smask)
+            if c - k == len(sizes):
+                sizes.append(0)
+            sizes[c - k] += 1
+            if target is not None and c >= target:
+                stats.rounds = len(sizes) - 1
+                return GreedyResult(c, to_vertex_set(smask), stats, complete=False)
+            grown = child(smask, c)
+            if not grown:
+                if c > top:
+                    top, tops = c, []
+                if c == top:
+                    tops.append(smask)
+                break
+            smask = grown
+            c += 1
+    stats.rounds = len(sizes) - 1
+    return GreedyResult(top, min(map(to_vertex_set, tops)), stats)

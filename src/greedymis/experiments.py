@@ -215,7 +215,8 @@ def _oracle_worker(args):
         alpha = exact_mis(g, max_nodes).alpha
     except OracleTimeout:
         return None
-    sizes = [run_greedy(g, a).size for a in algorithms]
+    # greedy size <= alpha, so a chain reaching alpha settles the run
+    sizes = [run_greedy(g, a, target=alpha).size for a in algorithms]
     return alpha, sizes
 
 

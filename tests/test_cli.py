@@ -27,6 +27,14 @@ class TestSolve:
     def test_k_above_alpha_is_infeasible(self, k5_file, capsys):
         assert main(["solve", "--graph", k5_file, "--heuristic", "a", "--k", "2"]) == 3
 
+    def test_seed_limit_is_infeasible(self, tmp_path, capsys):
+        path = tmp_path / "big.col"
+        path.write_bytes(write_graph(Graph(1000)))
+        assert main(["solve", "--graph", str(path), "--heuristic", "a", "--k", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_missing_file(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.col")
         assert main(["solve", "--graph", missing, "--heuristic", "a"]) == 2
@@ -173,6 +181,23 @@ class TestExperiment:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--heuristic", "a", "--k", "0"],
+            ["solve", "--heuristic", "a", "--k", "-1"],
+            ["formula", "--n", "0", "--k", "1"],
+            ["formula", "--n", "10", "--k", "0"],
+        ],
+    )
+    def test_count_flags_must_be_positive(self, argv, k5_file, capsys):
+        if argv[0] == "solve":
+            argv = [*argv, "--graph", k5_file]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
 

@@ -10,6 +10,7 @@ from greedymis import (
     Heuristic,
     NoSeedSetsError,
     RunStats,
+    SeedLimitError,
     brute_force_mis,
     expand_generation,
     initial_generation,
@@ -17,6 +18,7 @@ from greedymis import (
     random_gnm,
     run_greedy,
 )
+from greedymis.engine import MAX_SEEDS
 from greedymis.heuristics import score
 from greedymis.rng import SplitMix64
 
@@ -232,3 +234,101 @@ class TestInvariants:
         for g in seeded_graphs(12, max_n=9, base=404):
             for h in (Heuristic.A, Heuristic.B):
                 assert run_greedy(g, EngineConfig(h, 1)).size == run_without_dedup(g, h, 1)
+
+
+class TestTarget:
+    @pytest.mark.parametrize("h", [Heuristic.A, Heuristic.B])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_stops_at_target_and_agrees_with_full_run(self, h, k):
+        early = 0
+        for g in seeded_graphs(25, max_n=13, base=900 + k * 7 + ord(h.value)):
+            cfg = EngineConfig(h, k)
+            try:
+                full = run_greedy(g, cfg)
+            except NoSeedSetsError:
+                continue
+            assert full.complete
+            alpha = brute_force_mis(g).alpha
+            for target in range(1, alpha + 2):
+                res = run_greedy(g, cfg, target=target)
+                assert res.size == min(full.size, max(target, k)), (g, h, k, target)
+                assert len(res.witness) == res.size
+                assert is_independent(g, res.witness)
+                if res.complete:
+                    assert res == full
+                else:
+                    early += 1
+                    assert res.stats.heuristic_evals <= full.stats.heuristic_evals
+        assert early > 0
+
+    def test_target_alpha_settles_the_run(self):
+        for g in seeded_graphs(20, max_n=14, base=31):
+            alpha = brute_force_mis(g).alpha
+            for h in (Heuristic.A, Heuristic.B):
+                cfg = EngineConfig(h, 1)
+                res = run_greedy(g, cfg, target=alpha)
+                assert res.size == run_greedy(g, cfg).size
+                assert res.complete == (res.size < alpha)
+
+
+class TestLockstepReferenceK2:
+    @pytest.mark.parametrize("h", [Heuristic.A, Heuristic.B])
+    def test_chain_run_matches_lockstep_rounds(self, h):
+        checked = 0
+        for g in seeded_graphs(15, max_n=13, base=2718 + ord(h.value)):
+            try:
+                gen = initial_generation(g, 2)
+            except NoSeedSetsError:
+                continue
+            res = run_greedy(g, EngineConfig(h, 2))
+            stats = RunStats()
+            sizes = [len(gen.sets)]
+            while True:
+                nxt = expand_generation(g, gen, h, stats)
+                if not nxt.sets:
+                    break
+                gen = nxt
+                sizes.append(len(gen.sets))
+            assert res.size == gen.cardinality
+            assert res.witness == min(gen.sets)
+            assert res.stats.generation_sizes == sizes
+            assert res.stats.rounds == len(sizes) - 1
+            assert res.stats.heuristic_evals == stats.heuristic_evals
+            assert res.stats.adjacency_checks == stats.adjacency_checks
+            checked += 1
+        assert checked > 0
+
+
+class TestChainWitness:
+    def test_witness_is_smallest_final_set_not_first_found(self):
+        # chain order ends at (1, 3, 4, 8) before a later chain reaches the
+        # lexicographically smaller final set (1, 2, 3, 9)
+        edges = [(0, 1), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (0, 9), (1, 6), (1, 7),
+                 (2, 4), (2, 5), (2, 8), (3, 5), (4, 9), (5, 7), (6, 8), (6, 9)]
+        g = Graph(10, edges)
+        gen = initial_generation(g, 1)
+        while True:
+            nxt = expand_generation(g, gen, Heuristic.A, RunStats())
+            if not nxt.sets:
+                break
+            gen = nxt
+        assert (1, 3, 4, 8) in gen.sets
+        res = run_greedy(g, A1)
+        assert res.witness == min(gen.sets) == (1, 2, 3, 9)
+
+
+class TestSeedLimit:
+    def test_large_seed_count_fails_fast(self):
+        g = Graph(1000)
+        with pytest.raises(SeedLimitError) as err:
+            run_greedy(g, EngineConfig(Heuristic.A, 3))
+        assert (err.value.n, err.value.k) == (1000, 3)
+        with pytest.raises(SeedLimitError):
+            initial_generation(g, 3)
+
+    def test_limit_counts_candidate_subsets(self):
+        # C(1415, 2) = 1000405 is past the limit, C(1414, 2) = 998991 is not
+        assert MAX_SEEDS == 10**6
+        with pytest.raises(SeedLimitError):
+            initial_generation(Graph(1415), 2)
+        assert len(initial_generation(Graph(1000), 1).sets) == 1000
