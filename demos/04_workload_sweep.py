@@ -43,7 +43,7 @@ for n, report in reports.items():
 print("\nmax ratio over the sweep, and R = max_ratio / n:")
 for n, report in reports.items():
     mr = report.max_ratio(n)
-    print(f"  n={n}: max w_b/w_a = {float(mr):.3f}   R = {float(report.normalized_r(n)):.4f}")
+    print(f"  n={n}: max w_b/w_a = {float(mr):.3f}   R = {float(mr / n):.4f}")
 
 # merge the per-n sweeps into one report for a single chart
 merged = gm.WorkloadReport(

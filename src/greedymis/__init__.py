@@ -43,7 +43,7 @@ from .graph import (
     non_neighbors,
     random_gnm,
 )
-from .heuristics import Heuristic, Score, score, stability
+from .heuristics import Heuristic, score, stability
 from .rng import SplitMix64, derive_seed
 
 __version__ = "0.1.0"
@@ -63,7 +63,6 @@ __all__ = [
     "OracleResult",
     "OracleTimeout",
     "RunStats",
-    "Score",
     "SeedLimitError",
     "SplitMix64",
     "VertexSet",

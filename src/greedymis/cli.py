@@ -48,6 +48,10 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _edge_counts(text: str) -> str | tuple[int, ...]:
+    return "4n" if text == "4n" else _int_list(text)
+
+
 def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
@@ -84,12 +88,11 @@ def _build_parser() -> _Parser:
         "kind", choices=("failure", "accuracy", "workload"), help="experiment protocol"
     )
     p_exp.add_argument("--n", type=_int_list, required=True, help="n values, comma-separated")
-    p_exp.add_argument("--m", type=_int_list, default=None, help="m values, comma-separated")
     p_exp.add_argument(
-        "--m-rule",
-        choices=("explicit", "4n"),
-        default="explicit",
-        help="edge-count rule; 4n ignores --m",
+        "--m",
+        type=_edge_counts,
+        required=True,
+        help="m values, comma-separated, or 4n for m = 4n per n",
     )
     p_exp.add_argument("--algos", required=True, help="e.g. a1,b1,a2,b2")
     p_exp.add_argument("--runs", type=_positive_int, default=1)
@@ -155,12 +158,6 @@ def _cmd_experiment(args) -> int:
         raise UsageError("--plot is supported for workload experiments only")
     if args.kind == "workload" and args.max_nodes is not None:
         raise UsageError("--max-nodes applies to failure/accuracy experiments only")
-    if args.m_rule == "4n":
-        m_rule: int | str | tuple[int, ...] = "4n"
-    elif args.m is None:
-        raise UsageError("--m is required unless --m-rule 4n")
-    else:
-        m_rule = args.m if len(args.m) > 1 else args.m[0]
     try:
         algorithms = parse_algorithms(args.algos)
     except ValueError as exc:
@@ -169,7 +166,7 @@ def _cmd_experiment(args) -> int:
         raise UsageError("--plot draws the b1/a1 ratio, so --algos must include a1 and b1")
     cfg = ExperimentConfig(
         n_values=args.n,
-        m_rule=m_rule,
+        m_rule=args.m,
         algorithms=algorithms,
         runs=args.runs,
         base_seed=args.seed,

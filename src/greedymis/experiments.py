@@ -54,11 +54,10 @@ def log_base(value: int, base: int) -> float | None:
     return log(value) / log(base)
 
 
-def density_grid(n: int, steps: int = 12) -> tuple[int, ...]:
-    """Evenly spaced edge counts 1/steps .. steps/steps of C(n,2)."""
+def density_grid(n: int) -> tuple[int, ...]:
+    """Evenly spaced edge counts 1/12 .. 12/12 of C(n,2), without repeats."""
     npairs = n * (n - 1) // 2
-    grid = sorted({max(1, j * npairs // steps) for j in range(1, steps + 1)})
-    return tuple(grid)
+    return tuple(sorted({max(1, j * npairs // 12) for j in range(1, 13)}))
 
 
 def parse_algorithms(text: str) -> tuple[EngineConfig, ...]:
@@ -100,10 +99,14 @@ class ExperimentConfig:
                 raise ValueError(f"n must be >= 4, got {n}")
         if isinstance(self.m_rule, str) and self.m_rule != "4n":
             raise ValueError(f"unknown m rule {self.m_rule!r}")
+        seen = set()
         for n, m in self.cells():
             npairs = n * (n - 1) // 2
             if not 0 <= m <= npairs:
                 raise ValueError(f"m={m} out of range for n={n} (max {npairs})")
+            if (n, m) in seen:
+                raise ValueError(f"cell n={n} m={m} is repeated")
+            seen.add((n, m))
 
     def edge_counts(self, n: int) -> tuple[int, ...]:
         if self.m_rule == "4n":
@@ -117,12 +120,22 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class FailureCell:
+class AccuracyCell:
+    """One (n, m) cell of oracle-paired runs: each run's alpha - A(G) gaps."""
+
     n: int
     m: int
     runs: int  # counted runs; runs past the oracle budget are excluded
-    failures: dict[str, int]
+    gaps: dict[str, dict[int, int]]  # algorithm -> gap value -> count
     oracle_timeouts: int = 0
+
+    @property
+    def failures(self) -> dict[str, int]:
+        """Runs per algorithm whose greedy size fell below alpha (nonzero gap)."""
+        return {
+            name: sum(count for gap, count in hist.items() if gap > 0)
+            for name, hist in self.gaps.items()
+        }
 
     def ratio(self, algorithm: str) -> Fraction:
         if self.runs == 0:
@@ -134,20 +147,7 @@ class FailureCell:
 class FailureReport:
     algorithms: tuple[str, ...]
     base_seed: int
-    cells: tuple[FailureCell, ...]
-
-
-@dataclass(frozen=True)
-class AccuracyCell:
-    n: int
-    m: int
-    runs: int
-    gaps: dict[str, dict[int, int]]  # algorithm -> gap value -> count
-    oracle_timeouts: int = 0
-
-    def max_gap(self, algorithm: str) -> int:
-        hist = self.gaps[algorithm]
-        return max(hist) if hist else 0
+    cells: tuple[AccuracyCell, ...]
 
 
 @dataclass(frozen=True)
@@ -155,13 +155,6 @@ class AccuracyReport:
     algorithms: tuple[str, ...]
     base_seed: int
     cells: tuple[AccuracyCell, ...]
-
-    def gap_counts(self, algorithm: str) -> dict[int, int]:
-        merged: dict[int, int] = {}
-        for cell in self.cells:
-            for gap, count in cell.gaps[algorithm].items():
-                merged[gap] = merged.get(gap, 0) + count
-        return dict(sorted(merged.items()))
 
 
 @dataclass(frozen=True)
@@ -178,33 +171,23 @@ class WorkloadReport:
     base_seed: int
     cells: tuple[WorkloadCell, ...]
 
-    def ratio_points(
-        self, n: int, numerator: str = "b1", denominator: str = "a1"
-    ) -> tuple[tuple[int, Fraction], ...]:
-        """(m, adjacency-check ratio) pairs for one n, sorted by m."""
+    def ratio_points(self, n: int) -> tuple[tuple[int, Fraction], ...]:
+        """(m, b1/a1 adjacency-check ratio) pairs for one n, sorted by m."""
         pts = []
         for cell in self.cells:
             if cell.n != n:
                 continue
-            den = cell.adjacency_checks[denominator]
+            den = cell.adjacency_checks["a1"]
             if den:
-                pts.append((cell.m, Fraction(cell.adjacency_checks[numerator], den)))
+                pts.append((cell.m, Fraction(cell.adjacency_checks["b1"], den)))
         return tuple(sorted(pts))
 
-    def max_ratio(
-        self, n: int, numerator: str = "b1", denominator: str = "a1"
-    ) -> Fraction:
-        """Maximum over the edge sweep of the per-cell work ratio."""
-        pts = self.ratio_points(n, numerator, denominator)
+    def max_ratio(self, n: int) -> Fraction:
+        """Maximum over the edge sweep of the per-cell b1/a1 work ratio."""
+        pts = self.ratio_points(n)
         if not pts:
             raise ValueError(f"no cells with n={n}")
         return max(r for _, r in pts)
-
-    def normalized_r(
-        self, n: int, numerator: str = "b1", denominator: str = "a1"
-    ) -> Fraction:
-        """max_ratio / n: the scale factor R in (b work) = R * n * (a work)."""
-        return self.max_ratio(n, numerator, denominator) / n
 
 
 def _oracle_worker(args):
@@ -257,17 +240,11 @@ def run_failure_experiment(
 ) -> FailureReport:
     """Count runs where a greedy size falls below alpha, per cell and algorithm.
 
-    A failure is a nonzero gap of the paired accuracy histogram.
+    A failure is a nonzero gap of the paired accuracy histogram, so the
+    report holds the accuracy cells and reads their ``failures``.
     """
     acc = run_accuracy_experiment(cfg, jobs=jobs, oracle_max_nodes=oracle_max_nodes)
-    cells = []
-    for cell in acc.cells:
-        failures = {
-            name: sum(count for gap, count in cell.gaps[name].items() if gap > 0)
-            for name in acc.algorithms
-        }
-        cells.append(FailureCell(cell.n, cell.m, cell.runs, failures, cell.oracle_timeouts))
-    return FailureReport(acc.algorithms, acc.base_seed, tuple(cells))
+    return FailureReport(acc.algorithms, acc.base_seed, acc.cells)
 
 
 def run_accuracy_experiment(
@@ -341,10 +318,8 @@ def emit_csv(report: FailureReport | AccuracyReport | WorkloadReport) -> bytes:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def emit_plot(
-    report: WorkloadReport, numerator: str = "b1", denominator: str = "a1"
-) -> bytes:
-    """Self-contained SVG: work ratio versus edge count, one polyline per n.
+def emit_plot(report: WorkloadReport) -> bytes:
+    """Self-contained SVG: b1/a1 work ratio versus edge count, one polyline per n.
 
     Hand-rolled so identical reports yield byte-identical files.
     """
@@ -354,7 +329,7 @@ def emit_plot(
     plot_h = height - top - bottom
 
     ns = sorted({cell.n for cell in report.cells})
-    series = {n: report.ratio_points(n, numerator, denominator) for n in ns}
+    series = {n: report.ratio_points(n) for n in ns}
     xs = [m for pts in series.values() for m, _ in pts]
     ys = [float(r) for pts in series.values() for _, r in pts]
     x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
@@ -403,7 +378,7 @@ def emit_plot(
     parts.append(
         f'<text x="14" y="{top + plot_h / 2:.2f}" text-anchor="middle" '
         f'transform="rotate(-90 14 {top + plot_h / 2:.2f})">'
-        f"{numerator}/{denominator} adjacency checks</text>"
+        "b1/a1 adjacency checks</text>"
     )
     for i, n in enumerate(ns):
         color = _PALETTE[i % len(_PALETTE)]

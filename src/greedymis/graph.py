@@ -86,9 +86,6 @@ class Graph:
     def adjacent(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def neighbors(self, v: int) -> VertexSet:
-        return to_vertex_set(self.adj[v])
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 

@@ -24,8 +24,6 @@ from math import lcm
 
 from .graph import Graph, induced_subgraph, non_neighbors
 
-Score = Fraction
-
 
 class Heuristic(Enum):
     A = "a"
@@ -44,7 +42,7 @@ def stability_weights(n: int) -> tuple[int, tuple[int, ...]]:
     return den, tuple(den // (d + 1) for d in range(n))
 
 
-def stability(h_graph: Graph) -> Score:
+def stability(h_graph: Graph) -> Fraction:
     """Exact stability of a graph: sum over vertices of o/(deg+1), o = order.
 
     Lies in [o, o*o]: o for complete graphs, o*o for edgeless ones.  The
@@ -58,7 +56,7 @@ def stability(h_graph: Graph) -> Score:
     return Fraction(o * num, den)
 
 
-def score(g: Graph, s: tuple[int, ...], v: int, h: Heuristic) -> Score:
+def score(g: Graph, s: tuple[int, ...], v: int, h: Heuristic) -> Fraction:
     """Score candidate ``v`` for joining independent set ``s`` in ``g``.
 
     With U' the common non-neighbors of s ∪ {v}: heuristic A scores |U'|,

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, deterministic outputs."""
 
 import itertools
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -108,7 +110,7 @@ class TestExperiment:
         for jobs, name in ((1, "j1.csv"), (2, "j2.csv")):
             out = tmp_path / name
             main([
-                "experiment", "accuracy", "--n", "10", "--m-rule", "4n",
+                "experiment", "accuracy", "--n", "10", "--m", "4n",
                 "--runs", "20", "--seed", "2", "--algos", "a1,b1",
                 "--jobs", str(jobs), "--out", str(out),
             ])
@@ -179,6 +181,30 @@ class TestExperiment:
                 "--seed", "1", "--algos", "a1"]
         assert main(args) == 2
 
+    def test_repeated_cell_is_input_error(self, capsys):
+        args = ["experiment", "failure", "--n", "10,10", "--m", "20", "--runs", "2",
+                "--algos", "a1"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "repeated" in captured.err
+
+    def test_m_4n_is_the_explicit_count(self, tmp_path, capsys):
+        outs = []
+        for m in ("4n", "40"):
+            out = tmp_path / f"{m}.csv"
+            args = ["experiment", "failure", "--n", "10", "--m", m, "--runs", "5",
+                    "--seed", "1", "--algos", "a1", "--out", str(out)]
+            assert main(args) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_m_rule_flag_is_gone(self, capsys):
+        args = ["experiment", "workload", "--n", "10", "--m-rule", "4n", "--m", "5",
+                "--algos", "a1"]
+        assert main(args) == 1
+        assert "unrecognized arguments: --m-rule" in capsys.readouterr().err
+
 
 class TestUsage:
     @pytest.mark.parametrize(
@@ -207,3 +233,24 @@ class TestUsage:
     def test_non_integer_n(self, capsys):
         assert main(["experiment", "failure", "--n", "ten", "--m", "40",
                      "--runs", "1", "--seed", "0", "--algos", "a1"]) == 1
+
+
+def _readme_commands() -> list[str]:
+    """The `greedymis` lines of the sh block under "## Command line" in README.md."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("greedymis ")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert any(line.startswith("greedymis formula ") and "# tau=" in line for line in commands)
+    for line in commands:
+        command, _, comment = line.partition("#")
+        assert main(shlex.split(command)[1:]) == 0, line
+        out = capsys.readouterr().out
+        if comment:
+            assert out == comment.strip() + "\n", line

@@ -23,7 +23,7 @@ from greedymis import (
     run_workload_experiment,
     tau_edgeless,
 )
-from greedymis.experiments import FailureCell, WorkloadCell
+from greedymis.experiments import AccuracyCell, WorkloadCell
 from greedymis.rng import derive_seed
 
 
@@ -102,6 +102,10 @@ class TestConfig:
             ExperimentConfig((10,), "5n", algos, 1, 0)  # unknown rule
         with pytest.raises(ValueError):
             ExperimentConfig((10,), 40, (), 1, 0)  # no algorithms
+        with pytest.raises(ValueError):
+            ExperimentConfig((10, 10), 20, algos, 1, 0)  # repeated cell
+        with pytest.raises(ValueError):
+            ExperimentConfig((10,), (20, 30, 20), algos, 1, 0)  # repeated cell
 
     def test_density_grid(self):
         grid = density_grid(30)
@@ -184,8 +188,6 @@ class TestAccuracyExperiment:
             hist = cell.gaps[name]
             assert all(gap >= 0 for gap in hist)
             assert sum(hist.values()) == cell.runs
-        merged = report.gap_counts("a1")
-        assert sum(merged.values()) == 30
 
     def test_edgeless_density_like_cell_all_zero_gaps(self):
         # m = 0 cell: everything is independent, greedy always exact
@@ -207,7 +209,6 @@ class TestWorkloadExperiment:
         points = report.ratio_points(10)
         assert [m for m, _ in points] == [9, 22, 45]
         assert report.max_ratio(10) == max(r for _, r in points)
-        assert report.normalized_r(10) == report.max_ratio(10) / 10
 
     def test_rerun_identical(self):
         assert emit_csv(run_workload_experiment(self.CFG)) == emit_csv(
@@ -222,7 +223,7 @@ class TestWorkloadExperiment:
 
 class TestEmission:
     def test_failure_csv_schema(self):
-        cell = FailureCell(20, 80, 100, {"a1": 3, "b1": 0})
+        cell = AccuracyCell(20, 80, 100, {"a1": {0: 97, 1: 2, 2: 1}, "b1": {0: 100}})
         report = FailureReport(("a1", "b1"), 1, (cell,))
         lines = emit_csv(report).decode().splitlines()
         assert lines[0] == "n,m,runs,algorithm,failures,ratio"
