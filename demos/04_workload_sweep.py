@@ -46,9 +46,7 @@ for n, report in reports.items():
     print(f"  n={n}: max w_b/w_a = {float(mr):.3f}   R = {float(mr / n):.4f}")
 
 # merge the per-n sweeps into one report for a single chart
-merged = gm.WorkloadReport(
-    ("a1", "b1"), 1, tuple(c for r in reports.values() for c in r.cells)
-)
+merged = gm.WorkloadReport(("a1", "b1"), tuple(c for r in reports.values() for c in r.cells))
 csv_path = OUT / "workload_sweep.csv"
 svg_path = OUT / "workload_ratio.svg"
 csv_path.write_bytes(gm.emit_csv(merged))

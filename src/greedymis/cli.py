@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: solve, oracle, generate, formula, experiment.  Exit codes:
-0 success, 1 usage error, 2 input/parse error, 3 infeasible request (no
-seed sets, more than engine.MAX_SEEDS candidate seeds, or the oracle
-search passed --max-nodes).  All randomness is seed-pinned and the oracle
-budget counts search nodes, not seconds, so an identical argv produces
-byte-identical output files on any machine.
+0 success, 1 usage error, 2 input/parse error or an unreadable or
+unwritable file, 3 infeasible request (no seed sets, more than
+engine.MAX_SEEDS candidate seeds, or the oracle search passed
+--max-nodes).  All randomness is seed-pinned and the oracle budget counts
+search nodes, not seconds, so an identical argv produces byte-identical
+output files on any machine.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .dimacs import GraphParseError, read_graph, write_graph
+from .dimacs import read_graph, write_graph
 from .engine import EngineConfig, NoSeedSetsError, SeedLimitError, run_greedy
 from .exact import OracleTimeout, exact_mis
 from .experiments import (
@@ -28,7 +29,7 @@ from .experiments import (
     run_workload_experiment,
     tau_edgeless,
 )
-from .graph import GraphError, random_gnm
+from .graph import random_gnm
 from .heuristics import Heuristic
 
 
@@ -106,16 +107,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_graph(path: str):
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise GraphError(f"cannot read {path}: {exc.strerror}") from exc
-    return read_graph(data)
-
-
 def _cmd_solve(args) -> int:
-    g = _load_graph(args.graph)
+    g = read_graph(Path(args.graph).read_bytes())
     result = run_greedy(g, EngineConfig(Heuristic(args.heuristic), args.k))
     witness = ",".join(map(str, result.witness))
     print(
@@ -127,7 +120,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    g = _load_graph(args.graph)
+    g = read_graph(Path(args.graph).read_bytes())
     result = exact_mis(g, args.max_nodes)
     witness = ",".join(map(str, result.witness))
     print(f"alpha={result.alpha} witness={witness}")
@@ -164,6 +157,9 @@ def _cmd_experiment(args) -> int:
         raise UsageError(str(exc)) from None
     if args.plot and not {"a1", "b1"} <= {a.name for a in algorithms}:
         raise UsageError("--plot draws the b1/a1 ratio, so --algos must include a1 and b1")
+    for path in filter(None, (args.out, args.plot)):
+        if not Path(path).parent.is_dir():
+            raise OSError(f"cannot write {path}: no directory {Path(path).parent}")
     cfg = ExperimentConfig(
         n_values=args.n,
         m_rule=args.m,
@@ -227,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (GraphParseError, GraphError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # bad input, unreadable or unwritable file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NoSeedSetsError, SeedLimitError, OracleTimeout) as exc:

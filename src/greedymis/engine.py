@@ -36,20 +36,9 @@ MAX_SEEDS = 10**6  # largest C(n, k) a run may enumerate
 class NoSeedSetsError(Exception):
     """No independent set of the requested initial cardinality exists."""
 
-    def __init__(self, k: int) -> None:
-        super().__init__(f"no independent set of cardinality {k} exists")
-        self.k = k
-
 
 class SeedLimitError(Exception):
     """C(n, k) exceeds MAX_SEEDS, so seeding alone would not finish."""
-
-    def __init__(self, n: int, k: int) -> None:
-        super().__init__(
-            f"C({n},{k}) = {comb(n, k)} candidate seed sets exceed the limit {MAX_SEEDS}"
-        )
-        self.n = n
-        self.k = k
 
 
 @dataclass(frozen=True)
@@ -78,18 +67,26 @@ class Generation:
 
 @dataclass
 class RunStats:
-    rounds: int = 0
     heuristic_evals: int = 0
     adjacency_checks: int = 0
     generation_sizes: list[int] = field(default_factory=list)
 
+    @property
+    def rounds(self) -> int:
+        """Expansion rounds that produced a generation: one per size after the first."""
+        return max(len(self.generation_sizes) - 1, 0)
+
 
 @dataclass(frozen=True)
 class GreedyResult:
-    size: int
     witness: VertexSet
     stats: RunStats
     complete: bool = True  # False after a ``target`` stop: stats are partial
+
+    @property
+    def size(self) -> int:
+        """Largest cardinality reached: the witness is a set of that size."""
+        return len(self.witness)
 
 
 def _seeds(g: Graph, k: int) -> Iterator[VertexSet]:
@@ -97,7 +94,9 @@ def _seeds(g: Graph, k: int) -> Iterator[VertexSet]:
     if k < 1:
         raise ValueError(f"initial cardinality must be >= 1, got {k}")
     if comb(g.n, k) > MAX_SEEDS:
-        raise SeedLimitError(g.n, k)
+        raise SeedLimitError(
+            f"C({g.n},{k}) = {comb(g.n, k)} candidate seed sets exceed the limit {MAX_SEEDS}"
+        )
     adj = g.adj
     found = False
     for combo in combinations(range(g.n), k):
@@ -110,7 +109,7 @@ def _seeds(g: Graph, k: int) -> Iterator[VertexSet]:
             found = True
             yield combo
     if not found:
-        raise NoSeedSetsError(k)
+        raise NoSeedSetsError(f"no independent set of cardinality {k} exists")
 
 
 def initial_generation(g: Graph, k: int) -> Generation:
@@ -232,8 +231,7 @@ def run_greedy(
                 sizes.append(0)
             sizes[c - k] += 1
             if target is not None and c >= target:
-                stats.rounds = len(sizes) - 1
-                return GreedyResult(c, to_vertex_set(smask), stats, complete=False)
+                return GreedyResult(to_vertex_set(smask), stats, complete=False)
             grown = child(smask, c)
             if not grown:
                 if c > top:
@@ -243,5 +241,4 @@ def run_greedy(
                 break
             smask = grown
             c += 1
-    stats.rounds = len(sizes) - 1
-    return GreedyResult(top, min(map(to_vertex_set, tops)), stats)
+    return GreedyResult(min(map(to_vertex_set, tops)), stats)

@@ -21,8 +21,11 @@ BRUTE_FORCE_LIMIT = 24
 
 @dataclass(frozen=True)
 class OracleResult:
-    alpha: int
-    witness: VertexSet
+    witness: VertexSet  # a maximum independent set
+
+    @property
+    def alpha(self) -> int:
+        return len(self.witness)
 
 
 class OracleTimeout(Exception):
@@ -37,11 +40,8 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
     """
     if max_nodes is not None and max_nodes < 1:
         raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
-    n = g.n
-    if n == 0:
-        return OracleResult(0, ())
     adj = g.adj
-    closed = [adj[v] | (1 << v) for v in range(n)]
+    closed = [a | (1 << v) for v, a in enumerate(adj)]
     best_size = 0
     best_mask = 0
     budget = -1 if max_nodes is None else max_nodes  # counts down; -1 never hits 0
@@ -83,7 +83,7 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
             best_mask = chosen
 
     visit(g.full_mask, 0, 0)
-    return OracleResult(best_size, to_vertex_set(best_mask))
+    return OracleResult(to_vertex_set(best_mask))
 
 
 def brute_force_mis(g: Graph) -> OracleResult:
@@ -91,8 +91,6 @@ def brute_force_mis(g: Graph) -> OracleResult:
     n = g.n
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_LIMIT}, got {n}")
-    if n == 0:
-        return OracleResult(0, ())
     adj = g.adj
     independent = bytearray(1 << n)
     independent[0] = 1
@@ -107,4 +105,4 @@ def brute_force_mis(g: Graph) -> OracleResult:
             if size > best_size:
                 best_size = size
                 best_mask = mask
-    return OracleResult(best_size, to_vertex_set(best_mask))
+    return OracleResult(to_vertex_set(best_mask))

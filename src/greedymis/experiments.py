@@ -77,12 +77,12 @@ def parse_algorithms(text: str) -> tuple[EngineConfig, ...]:
 class ExperimentConfig:
     """Parameter grid: cells are n_values crossed with the edge-count rule.
 
-    ``m_rule`` is an explicit edge count, the string "4n" for the density
-    rule m = 4n, or a tuple of edge counts (a sweep applied to every n).
+    ``m_rule`` is the string "4n" for the density rule m = 4n, or a
+    nonempty tuple of edge counts (a sweep applied to every n).
     """
 
     n_values: tuple[int, ...]
-    m_rule: int | str | tuple[int, ...]
+    m_rule: str | tuple[int, ...]
     algorithms: tuple[EngineConfig, ...]
     runs: int
     base_seed: int
@@ -97,8 +97,8 @@ class ExperimentConfig:
         for n in self.n_values:
             if n < 4:
                 raise ValueError(f"n must be >= 4, got {n}")
-        if isinstance(self.m_rule, str) and self.m_rule != "4n":
-            raise ValueError(f"unknown m rule {self.m_rule!r}")
+        if self.m_rule != "4n" and not (isinstance(self.m_rule, tuple) and self.m_rule):
+            raise ValueError(f"m rule must be '4n' or a nonempty tuple, not {self.m_rule!r}")
         seen = set()
         for n, m in self.cells():
             npairs = n * (n - 1) // 2
@@ -109,11 +109,7 @@ class ExperimentConfig:
             seen.add((n, m))
 
     def edge_counts(self, n: int) -> tuple[int, ...]:
-        if self.m_rule == "4n":
-            return (4 * n,)
-        if isinstance(self.m_rule, int):
-            return (self.m_rule,)
-        return tuple(self.m_rule)
+        return (4 * n,) if self.m_rule == "4n" else self.m_rule
 
     def cells(self) -> tuple[tuple[int, int], ...]:
         return tuple((n, m) for n in self.n_values for m in self.edge_counts(n))
@@ -146,14 +142,12 @@ class AccuracyCell:
 @dataclass(frozen=True)
 class FailureReport:
     algorithms: tuple[str, ...]
-    base_seed: int
     cells: tuple[AccuracyCell, ...]
 
 
 @dataclass(frozen=True)
 class AccuracyReport:
     algorithms: tuple[str, ...]
-    base_seed: int
     cells: tuple[AccuracyCell, ...]
 
 
@@ -168,7 +162,6 @@ class WorkloadCell:
 @dataclass(frozen=True)
 class WorkloadReport:
     algorithms: tuple[str, ...]
-    base_seed: int
     cells: tuple[WorkloadCell, ...]
 
     def ratio_points(self, n: int) -> tuple[tuple[int, Fraction], ...]:
@@ -244,7 +237,7 @@ def run_failure_experiment(
     report holds the accuracy cells and reads their ``failures``.
     """
     acc = run_accuracy_experiment(cfg, jobs=jobs, oracle_max_nodes=oracle_max_nodes)
-    return FailureReport(acc.algorithms, acc.base_seed, acc.cells)
+    return FailureReport(acc.algorithms, acc.cells)
 
 
 def run_accuracy_experiment(
@@ -265,7 +258,7 @@ def run_accuracy_experiment(
         }
         timeouts = len(results) - len(paired)
         cells.append(AccuracyCell(n, m, len(paired), hists, timeouts))
-    return AccuracyReport(names, cfg.base_seed, tuple(cells))
+    return AccuracyReport(names, tuple(cells))
 
 
 def run_workload_experiment(
@@ -283,7 +276,7 @@ def run_workload_experiment(
         evals = {name: max(ev for ev, _ in runs) for name, runs in per_algo.items()}
         checks = {name: max(ch for _, ch in runs) for name, runs in per_algo.items()}
         cells.append(WorkloadCell(n, m, evals, checks))
-    return WorkloadReport(names, cfg.base_seed, tuple(cells))
+    return WorkloadReport(names, tuple(cells))
 
 
 def emit_csv(report: FailureReport | AccuracyReport | WorkloadReport) -> bytes:
@@ -293,7 +286,7 @@ def emit_csv(report: FailureReport | AccuracyReport | WorkloadReport) -> bytes:
         for cell in report.cells:
             for name in report.algorithms:
                 f = cell.failures[name]
-                ratio = str(f / cell.runs) if cell.runs else ""
+                ratio = str(float(cell.ratio(name))) if cell.runs else ""
                 lines.append(f"{cell.n},{cell.m},{cell.runs},{name},{f},{ratio}")
     elif isinstance(report, AccuracyReport):
         lines = ["n,m,runs,algorithm,gap,count"]

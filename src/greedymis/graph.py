@@ -48,7 +48,7 @@ class Graph:
     immutable tuple of neighborhood bitmasks, one per vertex; never rebind it.
     """
 
-    __slots__ = ("n", "adj", "_edges")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
@@ -63,18 +63,17 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self.adj = tuple(adj)
-        self._edges = tuple(
-            (u, v) for u in range(n) for v in bits_of(adj[u] >> (u + 1) << (u + 1))
-        )
 
     @property
     def m(self) -> int:
-        return len(self._edges)
+        return sum(a.bit_count() for a in self.adj) // 2
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """All edges as (u, v) with u < v, sorted."""
-        return self._edges
+        """All edges as (u, v) with u < v, sorted; built from ``adj`` on each call."""
+        return tuple(
+            (u, v) for u, a in enumerate(self.adj) for v in bits_of(a >> (u + 1) << (u + 1))
+        )
 
     @property
     def full_mask(self) -> int:
@@ -117,7 +116,7 @@ def non_neighbors(g: Graph, members: Iterable[int]) -> VertexSet:
     s = _check_members(g, members)
     blocked = 0
     for v in s:
-        blocked |= (1 << v) | g.adjacency_mask(v)
+        blocked |= (1 << v) | g.adj[v]
     return to_vertex_set(g.full_mask & ~blocked)
 
 
@@ -129,7 +128,7 @@ def induced_subgraph(g: Graph, members: Iterable[int]) -> Graph:
     edges = [
         (index[u], index[v])
         for u in s
-        for v in bits_of(g.adjacency_mask(u) & smask)
+        for v in bits_of(g.adj[u] & smask)
         if u < v
     ]
     return Graph(len(s), edges)

@@ -6,10 +6,18 @@ from pathlib import Path
 
 import pytest
 
-from greedymis import Graph, write_graph
+from greedymis import Graph, cli, write_graph
 from greedymis.cli import main
 
 K5 = Graph(5, list(itertools.combinations(range(5), 2)))
+
+
+def _single_error_line(capsys) -> str:
+    """Assert the command printed nothing but one ``error:`` line; return it."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
 
 
 @pytest.fixture
@@ -78,6 +86,11 @@ class TestGenerate:
 
     def test_m_too_large(self, capsys):
         assert main(["generate", "--n", "5", "--m", "11", "--seed", "0"]) == 2
+
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "g.col"
+        assert main(["generate", "--n", "5", "--m", "3", "--out", str(out)]) == 2
+        assert "No such file or directory" in _single_error_line(capsys)
 
 
 class TestFormula:
@@ -199,6 +212,29 @@ class TestExperiment:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["failure", "--n", "10", "--m", "4n", "--algos", "a9"],
+             "no independent set of cardinality 9 exists"),
+            (["workload", "--n", "1500", "--m", "0", "--algos", "a2"],
+             "C(1500,2) = 1124250 candidate seed sets exceed the limit 1000000"),
+        ],
+    )
+    def test_seeding_errors_cross_the_process_pool(self, argv, message, capsys):
+        for jobs in ("1", "2"):
+            assert main(["experiment", *argv, "--runs", "2", "--jobs", jobs]) == 3
+            assert _single_error_line(capsys) == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flag", ["--out", "--plot"])
+    def test_unwritable_output_fails_before_any_run(self, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_workload_experiment", lambda *a, **k: pytest.fail("ran"))
+        path = tmp_path / "missing" / "w.out"
+        args = ["experiment", "workload", "--n", "10", "--m", "9,22", "--algos", "a1,b1",
+                flag, str(path)]
+        assert main(args) == 2
+        assert str(path) in _single_error_line(capsys)
+
     def test_m_rule_flag_is_gone(self, capsys):
         args = ["experiment", "workload", "--n", "10", "--m-rule", "4n", "--m", "5",
                 "--algos", "a1"]
@@ -235,12 +271,16 @@ class TestUsage:
                      "--runs", "1", "--seed", "0", "--algos", "a1"]) == 1
 
 
+def _readme_block(heading: str, lang: str) -> str:
+    """The first ``lang`` code block under ``## heading`` in README.md."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split(f"## {heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
 def _readme_commands() -> list[str]:
     """The `greedymis` lines of the sh block under "## Command line" in README.md."""
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    section = text.split("## Command line\n", 1)[1]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = block.replace("\\\n", " ").splitlines()
+    lines = _readme_block("Command line", "sh").replace("\\\n", " ").splitlines()
     return [line for line in lines if line.startswith("greedymis ")]
 
 
@@ -254,3 +294,14 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
         out = capsys.readouterr().out
         if comment:
             assert out == comment.strip() + "\n", line
+
+
+def test_readme_library_quickstart_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    block = _readme_block("Library quickstart", "python")
+    exec(block, {})
+    first = capsys.readouterr().out.splitlines()[0]
+    printed = next(line for line in block.splitlines() if line.startswith("print(res.size"))
+    assert first == printed.partition("#")[2].strip()
+    header = (tmp_path / "failures.csv").read_text().splitlines()[0]
+    assert header == "n,m,runs,algorithm,failures,ratio"

@@ -320,9 +320,8 @@ class TestChainWitness:
 class TestSeedLimit:
     def test_large_seed_count_fails_fast(self):
         g = Graph(1000)
-        with pytest.raises(SeedLimitError) as err:
+        with pytest.raises(SeedLimitError, match=r"^C\(1000,3\) = "):
             run_greedy(g, EngineConfig(Heuristic.A, 3))
-        assert (err.value.n, err.value.k) == (1000, 3)
         with pytest.raises(SeedLimitError):
             initial_generation(g, 3)
 

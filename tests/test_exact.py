@@ -41,6 +41,7 @@ class TestExactMis:
 
     def test_empty_graph(self):
         assert exact_mis(Graph(0)).alpha == 0
+        assert exact_mis(Graph(0), max_nodes=1).witness == ()
 
 
 class TestNodeBudget:
@@ -74,6 +75,7 @@ class TestNodeBudget:
 class TestBruteForce:
     def test_edgeless(self):
         assert brute_force_mis(Graph(3)).alpha == 3
+        assert brute_force_mis(Graph(0)).witness == ()
 
     def test_path_six(self):
         assert brute_force_mis(Graph(6, [(i, i + 1) for i in range(5)])).alpha == 3

@@ -85,7 +85,7 @@ class TestConfig:
         algos = parse_algorithms("a1")
         cfg = ExperimentConfig((10, 12), "4n", algos, 1, 0)
         assert cfg.cells() == ((10, 40), (12, 48))
-        cfg = ExperimentConfig((10,), 30, algos, 1, 0)
+        cfg = ExperimentConfig((10,), (30,), algos, 1, 0)
         assert cfg.cells() == ((10, 30),)
         cfg = ExperimentConfig((10,), (5, 10), algos, 1, 0)
         assert cfg.cells() == ((10, 5), (10, 10))
@@ -93,19 +93,22 @@ class TestConfig:
     def test_validation(self):
         algos = parse_algorithms("a1")
         with pytest.raises(ValueError):
-            ExperimentConfig((10,), 40, algos, 0, 0)  # runs < 1
+            ExperimentConfig((10,), (40,), algos, 0, 0)  # runs < 1
         with pytest.raises(ValueError):
-            ExperimentConfig((3,), 2, algos, 1, 0)  # n < 4
+            ExperimentConfig((3,), (2,), algos, 1, 0)  # n < 4
         with pytest.raises(ValueError):
-            ExperimentConfig((10,), 46, algos, 1, 0)  # m > C(10,2)
+            ExperimentConfig((10,), (46,), algos, 1, 0)  # m > C(10,2)
         with pytest.raises(ValueError):
             ExperimentConfig((10,), "5n", algos, 1, 0)  # unknown rule
         with pytest.raises(ValueError):
-            ExperimentConfig((10,), 40, (), 1, 0)  # no algorithms
+            ExperimentConfig((10,), (40,), (), 1, 0)  # no algorithms
         with pytest.raises(ValueError):
-            ExperimentConfig((10, 10), 20, algos, 1, 0)  # repeated cell
+            ExperimentConfig((10, 10), (20,), algos, 1, 0)  # repeated cell
         with pytest.raises(ValueError):
             ExperimentConfig((10,), (20, 30, 20), algos, 1, 0)  # repeated cell
+        for rule in (40, (), [40]):  # m_rule is "4n" or a nonempty tuple
+            with pytest.raises(ValueError, match="m rule"):
+                ExperimentConfig((10,), rule, algos, 1, 0)
 
     def test_density_grid(self):
         grid = density_grid(30)
@@ -191,7 +194,7 @@ class TestAccuracyExperiment:
 
     def test_edgeless_density_like_cell_all_zero_gaps(self):
         # m = 0 cell: everything is independent, greedy always exact
-        cfg = ExperimentConfig((10,), 0, parse_algorithms("a1"), 5, 0)
+        cfg = ExperimentConfig((10,), (0,), parse_algorithms("a1"), 5, 0)
         report = run_accuracy_experiment(cfg)
         assert report.cells[0].gaps["a1"] == {0: 5}
 
@@ -224,15 +227,15 @@ class TestWorkloadExperiment:
 class TestEmission:
     def test_failure_csv_schema(self):
         cell = AccuracyCell(20, 80, 100, {"a1": {0: 97, 1: 2, 2: 1}, "b1": {0: 100}})
-        report = FailureReport(("a1", "b1"), 1, (cell,))
+        report = FailureReport(("a1", "b1"), (cell,))
         lines = emit_csv(report).decode().splitlines()
         assert lines[0] == "n,m,runs,algorithm,failures,ratio"
         assert lines[1] == "20,80,100,a1,3,0.03"
         assert lines[2] == "20,80,100,b1,0,0.0"
 
     def test_empty_reports_header_only(self):
-        assert emit_csv(FailureReport((), 0, ())) == b"n,m,runs,algorithm,failures,ratio\n"
-        assert emit_csv(WorkloadReport((), 0, ())) == (
+        assert emit_csv(FailureReport((), ())) == b"n,m,runs,algorithm,failures,ratio\n"
+        assert emit_csv(WorkloadReport((), ())) == (
             b"n,m,algorithm,heuristic_evals,adjacency_checks\n"
         )
 
@@ -255,7 +258,7 @@ class TestEmission:
         assert emit_plot(report) == svg
 
     def test_plot_accepts_empty_report(self):
-        svg = emit_plot(WorkloadReport(("a1", "b1"), 0, ()))
+        svg = emit_plot(WorkloadReport(("a1", "b1"), ()))
         assert svg.startswith(b"<svg ")
 
     def test_unsupported_report_type(self):
