@@ -158,6 +158,8 @@ def _cmd_experiment(args) -> int:
     if args.plot and not {"a1", "b1"} <= {a.name for a in algorithms}:
         raise UsageError("--plot draws the b1/a1 ratio, so --algos must include a1 and b1")
     for path in filter(None, (args.out, args.plot)):
+        if Path(path).is_dir():
+            raise OSError(f"cannot write {path}: it is a directory")
         if not Path(path).parent.is_dir():
             raise OSError(f"cannot write {path}: no directory {Path(path).parent}")
     cfg = ExperimentConfig(

@@ -7,7 +7,7 @@ ids are 0-based in memory and shifted on read/write.
 
 from __future__ import annotations
 
-from .graph import Graph, GraphError
+from .graph import Graph
 
 
 class GraphParseError(ValueError):
@@ -58,10 +58,7 @@ def read_graph(data: bytes | str) -> Graph:
             raise GraphParseError(lineno, f"unrecognized line {line!r}")
     if n is None:
         raise GraphParseError(1, "missing 'p edge <n> <m>' header")
-    try:
-        return Graph(n, edges)
-    except GraphError as exc:  # pragma: no cover - endpoints validated above
-        raise GraphParseError(1, str(exc)) from exc
+    return Graph(n, edges)
 
 
 def write_graph(g: Graph) -> bytes:

@@ -18,6 +18,13 @@ Instrumentation counters charge a fixed machine-independent cost model:
 computing the common non-neighbors of a c-set costs c*(n-c) adjacency
 checks, and a heuristic-b scoring additionally charges |U'|**2 checks for
 induced degrees plus |U'| for evaluating the stability terms.
+
+Heuristic-b keys are integers: with den = lcm(1..n) and weights[d] =
+den // (d + 1), a pool of order o whose vertices have induced degrees d_v
+has stability sum(o / (d_v + 1)) = o * sum(weights[d_v]) / den exactly, so
+the engine compares o * sum(weights[d_v]) and never rounds.
+:func:`greedymis.heuristics.score` is the independent exact-rational
+reference for the same values.
 """
 
 from __future__ import annotations
@@ -25,10 +32,10 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .graph import Graph, VertexSet, mask_of, to_vertex_set
-from .heuristics import Heuristic, stability_weights
+from .heuristics import Heuristic
 
 MAX_SEEDS = 10**6  # largest C(n, k) a run may enumerate
 
@@ -128,8 +135,9 @@ def _stepper(g: Graph, h: Heuristic, stats: RunStats) -> Callable[[int, int], in
     nadj = [~a for a in adj]
     full = g.full_mask
     use_b = h is Heuristic.B
-    weights = stability_weights(n)[1] if use_b else ()
-    w0 = weights[0] if use_b else 0
+    if use_b:
+        den = lcm(*range(1, n + 1))
+        weights = tuple(den // (d + 1) for d in range(n))
 
     def child(smask: int, c: int) -> int:
         blocked = smask
@@ -156,10 +164,10 @@ def _stepper(g: Graph, h: Heuristic, stats: RunStats) -> Callable[[int, int], in
                 u2 = (pool & nadj[low.bit_length() - 1]) ^ low
                 o = u2.bit_count()
                 checks += o * o + o
-                # keys are capped by the edgeless value o*o*w0; skipping
+                # keys are capped by the edgeless value o*o*den; skipping
                 # candidates that cannot beat the incumbent never changes
                 # the selection (counters above are charged regardless)
-                if o * o * w0 <= best_key:
+                if o * o * den <= best_key:
                     continue
                 total = 0
                 m2 = u2

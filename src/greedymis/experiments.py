@@ -19,7 +19,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log
+from math import comb, log
 
 from .engine import EngineConfig, run_greedy
 from .exact import OracleTimeout, exact_mis
@@ -29,7 +29,7 @@ from .rng import derive_seed
 
 
 def tau_edgeless(n: int, k: int) -> int:
-    """Evaluation count sum((k+1) * C(i,k) * C(i,k+1) for i = 1..n), exactly.
+    """Evaluation count (k+1) * sum(C(i,k) * C(i,k+1) for i = k..n), exactly.
 
     This is the total candidate-evaluation workload of the greedy family
     on an edgeless graph of order n with initial cardinality k.  Exact
@@ -37,14 +37,7 @@ def tau_edgeless(n: int, k: int) -> int:
     """
     if n < 1 or k < 1:
         raise ValueError(f"n and k must be >= 1, got n={n}, k={k}")
-    total = 0
-    c_k = 1  # C(i, k) at i = k
-    c_k1 = 0  # C(i, k+1) at i = k
-    for i in range(k, n + 1):
-        total += c_k * c_k1
-        c_k = c_k * (i + 1) // (i + 1 - k)
-        c_k1 = 1 if i == k else c_k1 * (i + 1) // (i - k)
-    return (k + 1) * total
+    return (k + 1) * sum(comb(i, k) * comb(i, k + 1) for i in range(k, n + 1))
 
 
 def log_base(value: int, base: int) -> float | None:

@@ -9,18 +9,16 @@ independent set S:
   non-neighbors, where the stability of a graph H on o vertices is
   sum(o / (deg_H(v) + 1) for v in V(H)).
 
-:func:`score` returns exact rationals (`fractions.Fraction`); the engine
-compares the same values as integers over the shared denominator
-lcm(1..n) from :func:`stability_weights`.  Either way ties are detected
-exactly and comparisons never depend on floating-point rounding.
+:func:`score` returns exact rationals (`fractions.Fraction`) computed
+straight from these definitions, so ties are detected exactly and
+comparisons never depend on floating-point rounding.  It shares no code
+with the engine's integer keys and serves as their reference.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
 
 from .graph import Graph, induced_subgraph, non_neighbors
 
@@ -30,18 +28,6 @@ class Heuristic(Enum):
     B = "b"
 
 
-@lru_cache(maxsize=None)
-def stability_weights(n: int) -> tuple[int, tuple[int, ...]]:
-    """Common-denominator table for stability sums over graphs of order <= n.
-
-    Returns (L, w) with L = lcm(1..n) and w[d] = L // (d + 1).  A stability
-    value sum(o/(d_v+1)) then equals o * sum(w[d_v]) / L exactly, which lets
-    scores be compared as plain integers over the shared denominator L.
-    """
-    den = lcm(*range(1, n + 1)) if n > 0 else 1
-    return den, tuple(den // (d + 1) for d in range(n))
-
-
 def stability(h_graph: Graph) -> Fraction:
     """Exact stability of a graph: sum over vertices of o/(deg+1), o = order.
 
@@ -49,11 +35,7 @@ def stability(h_graph: Graph) -> Fraction:
     empty graph scores 0.
     """
     o = h_graph.n
-    if o == 0:
-        return Fraction(0)
-    den, weights = stability_weights(o)
-    num = sum(weights[h_graph.degree(v)] for v in range(o))
-    return Fraction(o * num, den)
+    return sum((Fraction(o, h_graph.degree(v) + 1) for v in range(o)), Fraction(0))
 
 
 def score(g: Graph, s: tuple[int, ...], v: int, h: Heuristic) -> Fraction:

@@ -34,8 +34,16 @@ class TestSolve:
         assert out.startswith("size=1 ")
         assert "witness=0" in out
 
-    def test_k_above_alpha_is_infeasible(self, k5_file, capsys):
+    def test_k_above_alpha_is_infeasible(self, k5_file, tmp_path, capsys):
         assert main(["solve", "--graph", k5_file, "--heuristic", "a", "--k", "2"]) == 3
+        capsys.readouterr()
+        empty = tmp_path / "empty.col"
+        empty.write_bytes(write_graph(Graph(0)))
+        for heuristic in ("a", "b"):
+            assert main(["solve", "--graph", str(empty), "--heuristic", heuristic]) == 3
+            assert _single_error_line(capsys) == (
+                "error: no independent set of cardinality 1 exists\n"
+            )
 
     def test_seed_limit_is_infeasible(self, tmp_path, capsys):
         path = tmp_path / "big.col"
@@ -229,11 +237,36 @@ class TestExperiment:
     @pytest.mark.parametrize("flag", ["--out", "--plot"])
     def test_unwritable_output_fails_before_any_run(self, flag, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run_workload_experiment", lambda *a, **k: pytest.fail("ran"))
-        path = tmp_path / "missing" / "w.out"
-        args = ["experiment", "workload", "--n", "10", "--m", "9,22", "--algos", "a1,b1",
-                flag, str(path)]
-        assert main(args) == 2
-        assert str(path) in _single_error_line(capsys)
+        existing_dir = tmp_path / "taken"
+        existing_dir.mkdir()
+        for path in (tmp_path / "missing" / "w.out", existing_dir):
+            args = ["experiment", "workload", "--n", "10", "--m", "9,22", "--algos", "a1,b1",
+                    flag, str(path)]
+            assert main(args) == 2
+            assert str(path) in _single_error_line(capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        assert list(existing_dir.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "kind, line",
+        [
+            ("failure", "n=90 m=360 failures: a1=0/1 oracle-timeouts=1\n"),
+            ("accuracy", "n=90 m=360 a1: gap0=1 oracle-timeouts=1\n"),
+        ],
+    )
+    def test_oracle_timeouts_are_reported(self, kind, line, capsys):
+        args = ["experiment", kind, "--n", "90", "--m", "4n", "--algos", "a1",
+                "--runs", "2", "--seed", "3", "--max-nodes", "6000"]
+        assert main(args) == 0
+        assert capsys.readouterr().out == line
+
+    def test_max_nodes_is_rejected_for_workload(self, capsys):
+        args = ["experiment", "workload", "--n", "10", "--m", "9", "--algos", "a1",
+                "--max-nodes", "5"]
+        assert main(args) == 1
+        assert _single_error_line(capsys) == (
+            "error: --max-nodes applies to failure/accuracy experiments only\n"
+        )
 
     def test_m_rule_flag_is_gone(self, capsys):
         args = ["experiment", "workload", "--n", "10", "--m-rule", "4n", "--m", "5",
@@ -265,6 +298,19 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert main(["formula", "--n", "10", "--k", "1", "--wat"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [
+            (["--help"], "usage: greedymis [-h]"),
+            (["experiment", "--help"], "usage: greedymis experiment [-h]"),
+        ],
+    )
+    def test_help_exits_zero(self, argv, usage, capsys):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(usage)
+        assert captured.err == ""
 
     def test_non_integer_n(self, capsys):
         assert main(["experiment", "failure", "--n", "ten", "--m", "40",

@@ -41,6 +41,33 @@ def is_independent(g, s):
     return all(not g.adjacent(u, v) for u, v in itertools.combinations(s, 2))
 
 
+def assert_matches_lockstep(graphs, h, k):
+    """The chain run agrees with lockstep ``expand_generation`` rounds."""
+    checked = 0
+    for g in graphs:
+        try:
+            gen = initial_generation(g, k)
+        except NoSeedSetsError:
+            continue
+        res = run_greedy(g, EngineConfig(h, k))
+        stats = RunStats()
+        sizes = [len(gen.sets)]
+        while True:
+            nxt = expand_generation(g, gen, h, stats)
+            if not nxt.sets:
+                break
+            gen = nxt
+            sizes.append(len(gen.sets))
+        assert res.size == gen.cardinality
+        assert res.witness == min(gen.sets)
+        assert res.stats.generation_sizes == sizes
+        assert res.stats.rounds == len(sizes) - 1
+        assert res.stats.heuristic_evals == stats.heuristic_evals
+        assert res.stats.adjacency_checks == stats.adjacency_checks
+        checked += 1
+    assert checked > 0, (h, k)
+
+
 class TestInitialGeneration:
     def test_singletons_always_independent(self):
         gen = initial_generation(K5, 1)
@@ -92,10 +119,16 @@ class TestExpandGeneration:
         assert stats.heuristic_evals == 10
         assert stats.adjacency_checks == 5 * 4 + 10 * 6
 
-    def test_selection_agrees_with_public_score(self):
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_selection_agrees_with_public_score(self, k):
+        checked = 0
         for g in seeded_graphs(20, max_n=11):
+            try:
+                gen = initial_generation(g, k)
+            except NoSeedSetsError:
+                continue
+            checked += 1
             for h in (Heuristic.A, Heuristic.B):
-                gen = initial_generation(g, 1)
                 out = expand_generation(g, gen, h, RunStats())
                 expected = []
                 for s in gen.sets:
@@ -108,6 +141,7 @@ class TestExpandGeneration:
                     if child not in expected:
                         expected.append(child)
                 assert list(out.sets) == expected, (g, h)
+        assert checked > 0
 
 
 class TestRunGreedy:
@@ -141,25 +175,13 @@ class TestRunGreedy:
     def test_no_seed_sets_propagates(self):
         with pytest.raises(NoSeedSetsError):
             run_greedy(K5, EngineConfig(Heuristic.A, 2))
+        for h in (Heuristic.A, Heuristic.B):
+            with pytest.raises(NoSeedSetsError):
+                run_greedy(Graph(0), EngineConfig(h, 1))
 
     def test_matches_stepwise_public_expansion(self):
-        for g in seeded_graphs(10, max_n=12):
-            for h in (Heuristic.A, Heuristic.B):
-                res = run_greedy(g, EngineConfig(h, 1))
-                stats = RunStats()
-                gen = initial_generation(g, 1)
-                sizes = [len(gen.sets)]
-                while True:
-                    nxt = expand_generation(g, gen, h, stats)
-                    if not nxt.sets:
-                        break
-                    gen = nxt
-                    sizes.append(len(gen.sets))
-                assert res.size == gen.cardinality
-                assert res.witness == min(gen.sets)
-                assert res.stats.generation_sizes == sizes
-                assert res.stats.heuristic_evals == stats.heuristic_evals
-                assert res.stats.adjacency_checks == stats.adjacency_checks
+        for h in (Heuristic.A, Heuristic.B):
+            assert_matches_lockstep(seeded_graphs(10, max_n=12), h, 1)
 
 
 class TestInvariants:
@@ -274,29 +296,8 @@ class TestTarget:
 class TestLockstepReferenceK2:
     @pytest.mark.parametrize("h", [Heuristic.A, Heuristic.B])
     def test_chain_run_matches_lockstep_rounds(self, h):
-        checked = 0
-        for g in seeded_graphs(15, max_n=13, base=2718 + ord(h.value)):
-            try:
-                gen = initial_generation(g, 2)
-            except NoSeedSetsError:
-                continue
-            res = run_greedy(g, EngineConfig(h, 2))
-            stats = RunStats()
-            sizes = [len(gen.sets)]
-            while True:
-                nxt = expand_generation(g, gen, h, stats)
-                if not nxt.sets:
-                    break
-                gen = nxt
-                sizes.append(len(gen.sets))
-            assert res.size == gen.cardinality
-            assert res.witness == min(gen.sets)
-            assert res.stats.generation_sizes == sizes
-            assert res.stats.rounds == len(sizes) - 1
-            assert res.stats.heuristic_evals == stats.heuristic_evals
-            assert res.stats.adjacency_checks == stats.adjacency_checks
-            checked += 1
-        assert checked > 0
+        graphs = seeded_graphs(15, max_n=13, base=2718 + ord(h.value))
+        assert_matches_lockstep(graphs, h, 2)
 
 
 class TestChainWitness:
