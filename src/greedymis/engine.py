@@ -14,6 +14,14 @@ the per-cardinality visit counts are the lockstep generation sizes.  An
 optional ``target`` stops the run at the first visited set of at least
 that cardinality (the result is then marked incomplete).
 
+Because every chain is deterministic, the order in which seeds start
+changes neither a full run's result (size, witness, counters, generation
+sizes) nor a target run's size; it changes only where a target run stops,
+and so only the witness and partial counters of an incomplete result.
+``first`` exploits this: the oracle-paired experiments seed from the
+k-subsets of a maximum independent set, whose chains usually reach alpha
+at once.
+
 Instrumentation counters charge a fixed machine-independent cost model:
 computing the common non-neighbors of a c-set costs c*(n-c) adjacency
 checks, and a heuristic-b scoring additionally charges |U'|**2 checks for
@@ -31,7 +39,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, lcm
 
 from .graph import Graph, VertexSet, mask_of, to_vertex_set
@@ -96,17 +104,27 @@ class GreedyResult:
         return len(self.witness)
 
 
-def _seeds(g: Graph, k: int) -> Iterator[VertexSet]:
-    """Independent k-subsets of V(g) in lexicographic order, streamed."""
+def _seeds(g: Graph, k: int, first: VertexSet = ()) -> Iterator[VertexSet]:
+    """Independent k-subsets of ``first``, then of V(g) lexicographically, streamed.
+
+    A subset of ``first`` comes again in the lexicographic pass; callers
+    skip sets already visited.
+    """
     if k < 1:
         raise ValueError(f"initial cardinality must be >= 1, got {k}")
     if comb(g.n, k) > MAX_SEEDS:
         raise SeedLimitError(
             f"C({g.n},{k}) = {comb(g.n, k)} candidate seed sets exceed the limit {MAX_SEEDS}"
         )
+    if any(not 0 <= v < g.n for v in first) or any(
+        u >= v for u, v in zip(first, first[1:])
+    ):
+        raise ValueError(
+            f"first must be strictly increasing vertex ids below {g.n}, got {first!r}"
+        )
     adj = g.adj
     found = False
-    for combo in combinations(range(g.n), k):
+    for combo in chain(combinations(first, k), combinations(range(g.n), k)):
         blocked = 0
         for v in combo:
             if blocked >> v & 1:
@@ -211,7 +229,7 @@ def expand_generation(
 
 
 def run_greedy(
-    g: Graph, cfg: EngineConfig, *, target: int | None = None
+    g: Graph, cfg: EngineConfig, *, target: int | None = None, first: VertexSet = ()
 ) -> GreedyResult:
     """Run the greedy family member (cfg.heuristic, cfg.k).
 
@@ -222,6 +240,11 @@ def run_greedy(
     >= ``target``, which becomes the witness, and returns
     ``complete=False`` with partial counters; a run that never reaches
     ``target`` is the full run.  Deterministic for a fixed graph and config.
+
+    ``first``, a vertex set of ``g`` (strictly increasing ids, else
+    ValueError), starts the run from its independent k-subsets before the
+    lexicographic seeds.  This can move only where a ``target`` run stops:
+    the full result and the target size are the same for any ``first``.
     """
     stats = RunStats()
     sizes = stats.generation_sizes
@@ -230,7 +253,7 @@ def run_greedy(
     visited: set[int] = set()
     top = k
     tops: list[int] = []  # terminal sets of cardinality top
-    for seed in _seeds(g, k):
+    for seed in _seeds(g, k, first):
         smask = mask_of(seed)
         c = k
         while smask not in visited:

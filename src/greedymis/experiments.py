@@ -181,11 +181,15 @@ def _oracle_worker(args):
     n, m, seed, algorithms, max_nodes = args
     g = random_gnm(n, m, seed)
     try:
-        alpha = exact_mis(g, max_nodes).alpha
+        oracle = exact_mis(g, max_nodes)
     except OracleTimeout:
         return None
-    # greedy size <= alpha, so a chain reaching alpha settles the run
-    sizes = [run_greedy(g, a, target=alpha).size for a in algorithms]
+    alpha = oracle.alpha
+    # greedy size <= alpha, so a chain reaching alpha settles the run; chains
+    # grown from subsets of a maximum independent set usually reach it first
+    sizes = [
+        run_greedy(g, a, target=alpha, first=oracle.witness).size for a in algorithms
+    ]
     return alpha, sizes
 
 

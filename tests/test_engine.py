@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedymis import (
     EngineConfig,
@@ -25,6 +27,7 @@ from greedymis.rng import SplitMix64
 C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 K5 = Graph(5, list(itertools.combinations(range(5), 2)))
 P6 = Graph(6, [(i, i + 1) for i in range(5)])
+K3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
 
 A1 = EngineConfig(Heuristic.A, 1)
 
@@ -291,6 +294,57 @@ class TestTarget:
                 res = run_greedy(g, cfg, target=alpha)
                 assert res.size == run_greedy(g, cfg).size
                 assert res.complete == (res.size < alpha)
+
+
+@st.composite
+def graphs_with_first(draw, max_n=12):
+    """A graph and a vertex set of it: any subset, or a maximum independent set."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph(n, edges)
+    if draw(st.booleans()):
+        return g, brute_force_mis(g).witness
+    return g, tuple(sorted(draw(st.sets(st.integers(0, n - 1)))))
+
+
+class TestSeedOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_first(), st.sampled_from(list(Heuristic)), st.integers(1, 2))
+    def test_first_moves_only_where_a_target_run_stops(self, case, h, k):
+        g, first = case
+        cfg = EngineConfig(h, k)
+        try:
+            full = run_greedy(g, cfg)
+        except NoSeedSetsError:
+            with pytest.raises(NoSeedSetsError):
+                run_greedy(g, cfg, first=first)
+            return
+        res = run_greedy(g, cfg, first=first)
+        assert res.witness == full.witness
+        assert res.stats.generation_sizes == full.stats.generation_sizes
+        assert res.stats.heuristic_evals == full.stats.heuristic_evals
+        assert res.stats.adjacency_checks == full.stats.adjacency_checks
+        assert res.complete
+        for target in range(1, brute_force_mis(g).alpha + 2):
+            res = run_greedy(g, cfg, target=target, first=first)
+            assert res.size == run_greedy(g, cfg, target=target).size
+            if not res.complete:
+                assert len(res.witness) == res.size
+                assert is_independent(g, res.witness)
+
+    @pytest.mark.parametrize("first", [(1, 1, 2), (2, 0), (0, 5), (-1, 2)])
+    def test_first_must_be_a_vertex_set(self, first):
+        for k, target in ((1, None), (2, 2)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                run_greedy(C5, EngineConfig(Heuristic.A, k), target=target, first=first)
+
+    def test_seeding_guards_fire_before_first(self):
+        with pytest.raises(SeedLimitError):
+            run_greedy(Graph(1000), EngineConfig(Heuristic.A, 3), target=3, first=(0, 1, 2))
+        for target in (None, 2):
+            with pytest.raises(NoSeedSetsError):
+                run_greedy(K3, EngineConfig(Heuristic.A, 2), target=target, first=(0, 1))
 
 
 class TestLockstepReferenceK2:

@@ -16,13 +16,17 @@ from greedymis import (
     density_grid,
     emit_csv,
     emit_plot,
+    exact_mis,
     log_base,
     parse_algorithms,
+    random_gnm,
     run_accuracy_experiment,
     run_failure_experiment,
+    run_greedy,
     run_workload_experiment,
     tau_edgeless,
 )
+from greedymis import experiments
 from greedymis.experiments import AccuracyCell, WorkloadCell
 from greedymis.rng import derive_seed
 
@@ -197,6 +201,38 @@ class TestAccuracyExperiment:
         cfg = ExperimentConfig((10,), (0,), parse_algorithms("a1"), 5, 0)
         report = run_accuracy_experiment(cfg)
         assert report.cells[0].gaps["a1"] == {0: 5}
+
+
+class TestWitnessFirstSeeding:
+    def test_b2_work_falls_below_a_quarter(self):
+        # counters, not clocks: target=alpha runs seeded from the oracle's
+        # witness first against the lexicographic order (21201 -> 2249 evals)
+        b2 = EngineConfig(Heuristic.B, 2)
+        lexicographic = witness_first = 0
+        for r in range(40):
+            g = random_gnm(30, 120, derive_seed(1, 30, 120, r))
+            oracle = exact_mis(g)
+            lex = run_greedy(g, b2, target=oracle.alpha)
+            wit = run_greedy(g, b2, target=oracle.alpha, first=oracle.witness)
+            lexicographic += lex.stats.heuristic_evals
+            witness_first += wit.stats.heuristic_evals
+        assert 4 * witness_first < lexicographic
+
+    def test_oracle_worker_seeds_from_the_oracle_witness(self, monkeypatch):
+        calls = []
+
+        def recording_run_greedy(g, cfg, **kwargs):
+            calls.append(kwargs)
+            return run_greedy(g, cfg, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_greedy", recording_run_greedy)
+        algorithms = parse_algorithms("a1,b2")
+        seed = derive_seed(1, 30, 120, 0)
+        alpha, sizes = experiments._oracle_worker((30, 120, seed, algorithms, None))
+        oracle = exact_mis(random_gnm(30, 120, seed))
+        assert alpha == oracle.alpha
+        assert calls == [{"target": alpha, "first": oracle.witness}] * len(algorithms)
+        assert len(sizes) == len(algorithms)
 
 
 class TestWorkloadExperiment:
