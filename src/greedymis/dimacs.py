@@ -1,8 +1,8 @@
 """DIMACS-style edge-list text format.
 
-Header line ``p edge <n> <m>`` followed by ``e <u> <v>`` lines with 1-based
-endpoints.  Lines starting with ``c`` and blank lines are ignored.  Vertex
-ids are 0-based in memory and shifted on read/write.
+Header line ``p edge <n> <m>`` followed by exactly m ``e <u> <v>`` lines
+with 1-based endpoints.  Lines starting with ``c`` and blank lines are
+ignored.  Vertex ids are 0-based in memory and shifted on read/write.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ def read_graph(data: bytes | str) -> Graph:
     """Parse an edge-list file body into a Graph."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     n: int | None = None
+    header = declared_m = 0
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -40,6 +41,7 @@ def read_graph(data: bytes | str) -> Graph:
                 raise GraphParseError(lineno, f"malformed header {line!r}") from None
             if n < 0 or declared_m < 0:
                 raise GraphParseError(lineno, f"negative count in header {line!r}")
+            header = lineno
         elif parts[0] == "e":
             if n is None:
                 raise GraphParseError(lineno, "edge line before header")
@@ -58,6 +60,10 @@ def read_graph(data: bytes | str) -> Graph:
             raise GraphParseError(lineno, f"unrecognized line {line!r}")
     if n is None:
         raise GraphParseError(1, "missing 'p edge <n> <m>' header")
+    if len(edges) != declared_m:
+        raise GraphParseError(
+            header, f"header declares {declared_m} edges, file has {len(edges)} 'e' lines"
+        )
     return Graph(n, edges)
 
 

@@ -10,17 +10,16 @@ Every set has exactly one child, one vertex larger, so the paper's
 lockstep rounds with per-generation dedup visit exactly the sets met by
 following each seed's chain until it reaches a set already visited.  The
 engine runs in that chain form: each distinct set is expanded once and
-the per-cardinality visit counts are the lockstep generation sizes.  An
-optional ``target`` stops the run at the first visited set of at least
-that cardinality (the result is then marked incomplete).
+the per-cardinality visit counts are the lockstep generation sizes.
 
-Because every chain is deterministic, the order in which seeds start
-changes neither a full run's result (size, witness, counters, generation
-sizes) nor a target run's size; it changes only where a target run stops,
-and so only the witness and partial counters of an incomplete result.
-``first`` exploits this: the oracle-paired experiments seed from the
-k-subsets of a maximum independent set, whose chains usually reach alpha
-at once.
+An optional ``target``, a vertex set W, seeds the run from the
+independent k-subsets of W before the lexicographic seeds and stops it at
+the first visited set of cardinality >= len(W) (the result is then marked
+incomplete).  Every chain is deterministic, so seed order changes neither
+a full run's result (size, witness, counters, generation sizes) nor a
+stopped run's size, only where it stops.  The oracle-paired experiments
+pass a maximum independent set, whose subsets' chains usually reach
+alpha at once.
 
 Instrumentation counters charge a fixed machine-independent cost model:
 computing the common non-neighbors of a c-set costs c*(n-c) adjacency
@@ -104,11 +103,11 @@ class GreedyResult:
         return len(self.witness)
 
 
-def _seeds(g: Graph, k: int, first: VertexSet = ()) -> Iterator[VertexSet]:
-    """Independent k-subsets of ``first``, then of V(g) lexicographically, streamed.
+def _seeds(g: Graph, k: int, w: VertexSet = ()) -> Iterator[VertexSet]:
+    """Independent k-subsets of ``w``, then of V(g) lexicographically, streamed.
 
-    A subset of ``first`` comes again in the lexicographic pass; callers
-    skip sets already visited.
+    A subset of ``w`` comes again in the lexicographic pass; callers skip
+    sets already visited.
     """
     if k < 1:
         raise ValueError(f"initial cardinality must be >= 1, got {k}")
@@ -116,15 +115,13 @@ def _seeds(g: Graph, k: int, first: VertexSet = ()) -> Iterator[VertexSet]:
         raise SeedLimitError(
             f"C({g.n},{k}) = {comb(g.n, k)} candidate seed sets exceed the limit {MAX_SEEDS}"
         )
-    if any(not 0 <= v < g.n for v in first) or any(
-        u >= v for u, v in zip(first, first[1:])
-    ):
+    if any(not 0 <= v < g.n for v in w) or any(u >= v for u, v in zip(w, w[1:])):
         raise ValueError(
-            f"first must be strictly increasing vertex ids below {g.n}, got {first!r}"
+            f"target must be strictly increasing vertex ids below {g.n}, got {w!r}"
         )
     adj = g.adj
     found = False
-    for combo in chain(combinations(first, k), combinations(range(g.n), k)):
+    for combo in chain(combinations(w, k), combinations(range(g.n), k)):
         blocked = 0
         for v in combo:
             if blocked >> v & 1:
@@ -229,31 +226,30 @@ def expand_generation(
 
 
 def run_greedy(
-    g: Graph, cfg: EngineConfig, *, target: int | None = None, first: VertexSet = ()
+    g: Graph, cfg: EngineConfig, *, target: VertexSet | None = None
 ) -> GreedyResult:
     """Run the greedy family member (cfg.heuristic, cfg.k).
 
     Without ``target`` the run goes to completion and returns the largest
     cardinality reached, the lexicographically smallest set of that
     cardinality as witness, and the instrumentation of the lockstep
-    rounds.  With ``target`` it stops at the first set of cardinality
-    >= ``target``, which becomes the witness, and returns
-    ``complete=False`` with partial counters; a run that never reaches
-    ``target`` is the full run.  Deterministic for a fixed graph and config.
-
-    ``first``, a vertex set of ``g`` (strictly increasing ids, else
-    ValueError), starts the run from its independent k-subsets before the
-    lexicographic seeds.  This can move only where a ``target`` run stops:
-    the full result and the target size are the same for any ``first``.
+    rounds.  ``target``, a vertex set W of ``g`` (strictly increasing ids,
+    else ValueError), seeds the run from the independent k-subsets of W
+    before the lexicographic seeds and stops it at the first set of
+    cardinality >= len(W), which becomes the witness of a
+    ``complete=False`` result with partial counters; a run that never gets
+    there is the full run.  Its size is min(full size, max(len(W), k)).
+    Deterministic for a fixed graph, config and target.
     """
     stats = RunStats()
     sizes = stats.generation_sizes
     child = _stepper(g, cfg.heuristic, stats)
     k = cfg.k
+    stop = g.n + 1 if target is None else len(target)  # no set exceeds n
     visited: set[int] = set()
     top = k
     tops: list[int] = []  # terminal sets of cardinality top
-    for seed in _seeds(g, k, first):
+    for seed in _seeds(g, k, target or ()):
         smask = mask_of(seed)
         c = k
         while smask not in visited:
@@ -261,7 +257,7 @@ def run_greedy(
             if c - k == len(sizes):
                 sizes.append(0)
             sizes[c - k] += 1
-            if target is not None and c >= target:
+            if c >= stop:
                 return GreedyResult(to_vertex_set(smask), stats, complete=False)
             grown = child(smask, c)
             if not grown:

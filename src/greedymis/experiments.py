@@ -15,6 +15,7 @@ reproducible and reruns are byte-identical.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -58,7 +59,7 @@ def parse_algorithms(text: str) -> tuple[EngineConfig, ...]:
     specs = []
     for part in text.split(","):
         name = part.strip().lower()
-        if len(name) < 2 or name[0] not in ("a", "b") or not name[1:].isdigit():
+        if not re.fullmatch(r"[ab][1-9][0-9]*", name):
             raise ValueError(f"bad algorithm name {name!r} (expected e.g. a1, b2)")
         specs.append(EngineConfig(Heuristic(name[0]), int(name[1:])))
     if len({s.name for s in specs}) != len(specs):
@@ -184,13 +185,10 @@ def _oracle_worker(args):
         oracle = exact_mis(g, max_nodes)
     except OracleTimeout:
         return None
-    alpha = oracle.alpha
     # greedy size <= alpha, so a chain reaching alpha settles the run; chains
-    # grown from subsets of a maximum independent set usually reach it first
-    sizes = [
-        run_greedy(g, a, target=alpha, first=oracle.witness).size for a in algorithms
-    ]
-    return alpha, sizes
+    # grown from subsets of a maximum independent set usually reach it soonest
+    sizes = [run_greedy(g, a, target=oracle.witness).size for a in algorithms]
+    return oracle.alpha, sizes
 
 
 def _counter_worker(args):

@@ -62,6 +62,10 @@ class TestSolve:
         bad.write_text("p edge 3 1\ne 1 9\n")
         assert main(["solve", "--graph", str(bad), "--heuristic", "b"]) == 2
         assert "line 2" in capsys.readouterr().err
+        bad.write_text("p edge 3 5\ne 1 2\n")  # truncated: fewer e lines than m
+        for argv in (["solve", "--heuristic", "a"], ["oracle"]):
+            assert main([*argv, "--graph", str(bad)]) == 2
+            assert _single_error_line(capsys).startswith("error: line 1: header declares 5")
 
 
 class TestOracle:

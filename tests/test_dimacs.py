@@ -33,6 +33,9 @@ class TestRead:
             ("p edge 3 1\ne 1\n", 2),  # short edge line
             ("p edge 3 1\nq 1 2\n", 2),  # unknown line kind
             ("", 1),  # missing header
+            ("p edge 3 5\ne 1 2\n", 1),  # fewer edge lines than declared
+            ("c x\np edge 3 1\ne 1 2\ne 2 3\n", 2),  # more edge lines than declared
+            ("p edge 3 1\ne 1 2\ne 2 1\n", 1),  # e lines count, not distinct edges
         ],
     )
     def test_errors_carry_line_number(self, body, lineno):

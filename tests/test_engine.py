@@ -261,11 +261,36 @@ class TestInvariants:
                 assert run_greedy(g, EngineConfig(h, 1)).size == run_without_dedup(g, h, 1)
 
 
+def check_target_run(g, cfg, full, w):
+    """A ``target=w`` run against the full run ``full`` of the same member."""
+    res = run_greedy(g, cfg, target=w)
+    assert res.size == min(full.size, max(len(w), cfg.k)), (g, cfg, w)
+    if len(w) == cfg.k and is_independent(g, w):
+        assert res.witness == w  # seeding starts from w's own k-subsets
+    if res.complete:
+        assert res == full
+    else:
+        assert len(res.witness) == res.size
+        assert is_independent(g, res.witness)
+        assert res.stats.heuristic_evals <= full.stats.heuristic_evals
+    return res
+
+
+def target_sets(g, witness):
+    """Prefixes of a maximum independent set, then sets one and more past alpha."""
+    alpha = len(witness)
+    sets = [witness[:i] for i in range(alpha + 1)]
+    if alpha < g.n:
+        extra = min(set(range(g.n)) - set(witness))
+        sets += [tuple(sorted((*witness, extra))), tuple(range(g.n))]
+    return sets
+
+
 class TestTarget:
     @pytest.mark.parametrize("h", [Heuristic.A, Heuristic.B])
     @pytest.mark.parametrize("k", [1, 2])
     def test_stops_at_target_and_agrees_with_full_run(self, h, k):
-        early = 0
+        early = complete = 0
         for g in seeded_graphs(25, max_n=13, base=900 + k * 7 + ord(h.value)):
             cfg = EngineConfig(h, k)
             try:
@@ -273,78 +298,70 @@ class TestTarget:
             except NoSeedSetsError:
                 continue
             assert full.complete
-            alpha = brute_force_mis(g).alpha
-            for target in range(1, alpha + 2):
-                res = run_greedy(g, cfg, target=target)
-                assert res.size == min(full.size, max(target, k)), (g, h, k, target)
-                assert len(res.witness) == res.size
-                assert is_independent(g, res.witness)
-                if res.complete:
-                    assert res == full
-                else:
-                    early += 1
-                    assert res.stats.heuristic_evals <= full.stats.heuristic_evals
-        assert early > 0
+            witness = brute_force_mis(g).witness
+            for w in target_sets(g, witness):
+                res = check_target_run(g, cfg, full, w)
+                early += not res.complete
+                complete += res.complete and len(w) > len(witness)
+        assert early > 0 and complete > 0
 
     def test_target_alpha_settles_the_run(self):
         for g in seeded_graphs(20, max_n=14, base=31):
-            alpha = brute_force_mis(g).alpha
+            oracle = brute_force_mis(g)
             for h in (Heuristic.A, Heuristic.B):
                 cfg = EngineConfig(h, 1)
-                res = run_greedy(g, cfg, target=alpha)
+                res = run_greedy(g, cfg, target=oracle.witness)
                 assert res.size == run_greedy(g, cfg).size
-                assert res.complete == (res.size < alpha)
+                assert res.complete == (res.size < oracle.alpha)
 
 
 @st.composite
-def graphs_with_first(draw, max_n=12):
-    """A graph and a vertex set of it: any subset, or a maximum independent set."""
+def graphs_with_target(draw, max_n=12):
+    """A graph and a vertex set of it: a prefix of a maximum independent set, or any."""
     n = draw(st.integers(1, max_n))
     pairs = list(itertools.combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     g = Graph(n, edges)
     if draw(st.booleans()):
-        return g, brute_force_mis(g).witness
+        witness = brute_force_mis(g).witness
+        return g, witness[: draw(st.integers(0, len(witness)))]
     return g, tuple(sorted(draw(st.sets(st.integers(0, n - 1)))))
 
 
 class TestSeedOrder:
     @settings(max_examples=150, deadline=None)
-    @given(graphs_with_first(), st.sampled_from(list(Heuristic)), st.integers(1, 2))
+    @given(graphs_with_target(), st.sampled_from(list(Heuristic)), st.integers(1, 2))
     def test_first_moves_only_where_a_target_run_stops(self, case, h, k):
-        g, first = case
+        # seeding from w's subsets first may move only an incomplete run's
+        # witness and counters; a w larger than alpha forces a complete run
+        g, w = case
         cfg = EngineConfig(h, k)
         try:
             full = run_greedy(g, cfg)
         except NoSeedSetsError:
             with pytest.raises(NoSeedSetsError):
-                run_greedy(g, cfg, first=first)
+                run_greedy(g, cfg, target=w)
             return
-        res = run_greedy(g, cfg, first=first)
-        assert res.witness == full.witness
-        assert res.stats.generation_sizes == full.stats.generation_sizes
-        assert res.stats.heuristic_evals == full.stats.heuristic_evals
-        assert res.stats.adjacency_checks == full.stats.adjacency_checks
-        assert res.complete
-        for target in range(1, brute_force_mis(g).alpha + 2):
-            res = run_greedy(g, cfg, target=target, first=first)
-            assert res.size == run_greedy(g, cfg, target=target).size
-            if not res.complete:
-                assert len(res.witness) == res.size
-                assert is_independent(g, res.witness)
+        check_target_run(g, cfg, full, w)
 
-    @pytest.mark.parametrize("first", [(1, 1, 2), (2, 0), (0, 5), (-1, 2)])
-    def test_first_must_be_a_vertex_set(self, first):
-        for k, target in ((1, None), (2, 2)):
+    @pytest.mark.parametrize("target", [(1, 1, 2), (2, 0), (0, 5), (-1, 2)])
+    def test_target_must_be_a_vertex_set(self, target):
+        for k in (1, 2):
             with pytest.raises(ValueError, match="strictly increasing"):
-                run_greedy(C5, EngineConfig(Heuristic.A, k), target=target, first=first)
+                run_greedy(C5, EngineConfig(Heuristic.A, k), target=target)
+
+    @pytest.mark.parametrize("target", [0, -3, 2.5, True])
+    def test_target_is_not_a_cardinality(self, target):
+        with pytest.raises(TypeError):
+            run_greedy(C5, A1, target=target)
 
     def test_seeding_guards_fire_before_first(self):
+        # MAX_SEEDS fires before the target's vertex-set check
         with pytest.raises(SeedLimitError):
-            run_greedy(Graph(1000), EngineConfig(Heuristic.A, 3), target=3, first=(0, 1, 2))
-        for target in (None, 2):
+            run_greedy(Graph(1000), EngineConfig(Heuristic.A, 3), target=(2, 0, 1))
+        for target in (None, (0, 1)):
             with pytest.raises(NoSeedSetsError):
-                run_greedy(K3, EngineConfig(Heuristic.A, 2), target=target, first=(0, 1))
+                run_greedy(K3, EngineConfig(Heuristic.A, 2), target=target)
 
 
 class TestLockstepReferenceK2:
