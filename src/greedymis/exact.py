@@ -1,18 +1,24 @@
 """Exact maximum-independent-set solvers.
 
 `exact_mis` is a branch-and-bound control: branch on a maximum-degree
-vertex (exclude it, or include it and delete its closed neighborhood),
-prune on the trivial |remaining| + |current| bound.  Vertices with at
-most one remaining neighbor are taken greedily, which is always safe for
-unweighted independence.  An optional budget caps the search nodes (calls
-of the recursion), so a limited search stops at the same point on every
-machine.  `brute_force_mis` scans every subset and exists to validate the
-control on small inputs.
+vertex (include it and delete its closed neighborhood, then exclude it).
+A state is pruned when it cannot beat the best set so far, first by the
+|current| + |remaining| bound, then by |current| + the number of cliques
+in a greedy clique cover of the remaining vertices (an independent set
+meets each clique at most once).  Both cut only subtrees without a
+strictly larger set, so the witness does not depend on the bounds.
+Vertices with at most one remaining neighbor are taken greedily, which is
+always safe for unweighted independence.  The search runs on an explicit
+stack, so its depth is not limited by Python's recursion limit.  An
+optional budget caps the search nodes (entries into a search state), so a
+limited search stops at the same point on every machine.
+`brute_force_mis` scans every subset and exists to validate the control
+on small inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graph import Graph, VertexSet, to_vertex_set
 
@@ -22,6 +28,9 @@ BRUTE_FORCE_LIMIT = 24
 @dataclass(frozen=True)
 class OracleResult:
     witness: VertexSet  # a maximum independent set
+    # search counters of exact_mis; results compare by witness alone
+    nodes: int = field(default=0, compare=False)
+    bound_prunes: int = field(default=0, compare=False)  # cuts by the clique cover
 
     @property
     def alpha(self) -> int:
@@ -36,7 +45,9 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
     """Independence number of ``g`` with a maximum witness set.
 
     With ``max_nodes`` set, entering search node ``max_nodes + 1`` raises
-    OracleTimeout.  The node count depends on the graph, not the machine.
+    OracleTimeout.  The node count depends on the graph, not the machine;
+    the result carries it as ``nodes``, next to ``bound_prunes``, the
+    number of states the clique cover pruned.
     """
     if max_nodes is not None and max_nodes < 1:
         raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
@@ -44,13 +55,15 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
     closed = [a | (1 << v) for v, a in enumerate(adj)]
     best_size = 0
     best_mask = 0
-    budget = -1 if max_nodes is None else max_nodes  # counts down; -1 never hits 0
-
-    def visit(avail: int, size: int, chosen: int) -> None:
-        nonlocal best_size, best_mask, budget
-        if budget == 0:
-            raise OracleTimeout(f"oracle timed out after {max_nodes} search nodes")
-        budget -= 1
+    bound_prunes = 0
+    # budget counts down from start (below 0 without a limit, so it never
+    # hits 0); nodes entered so far are start - budget, the root included
+    start = -1 if max_nodes is None else max_nodes
+    budget = start - 1
+    # each entry resumes a node at its exclude branch: (avail, size, chosen)
+    stack = []
+    avail, size, chosen = g.full_mask, 0, 0
+    while True:
         while avail:
             # one scan: take any degree<=1 vertex, else remember the max-degree one
             take = 0
@@ -74,16 +87,38 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
                 avail &= ~closed[take.bit_length() - 1]
                 continue
             if size + avail.bit_count() <= best_size:
-                return
+                break
+            # cover avail by cliques grown from its lowest vertex; stop once
+            # the cover needs more cliques than best_size - size, as it then
+            # cannot prune
+            spare = best_size - size
+            rest = avail
+            while rest and spare > 0:
+                spare -= 1
+                low = rest & -rest
+                rest ^= low
+                cand = adj[low.bit_length() - 1] & rest
+                while cand:
+                    low = cand & -cand
+                    rest ^= low
+                    cand &= adj[low.bit_length() - 1]
+            if not rest:
+                bound_prunes += 1
+                break
+            if budget == 0:
+                raise OracleTimeout(f"oracle timed out after {max_nodes} search nodes")
+            budget -= 1
             low = 1 << branch_v
-            visit(avail & ~closed[branch_v], size + 1, chosen | low)
-            avail ^= low
-        if size > best_size:
-            best_size = size
-            best_mask = chosen
-
-    visit(g.full_mask, 0, 0)
-    return OracleResult(to_vertex_set(best_mask))
+            stack.append((avail ^ low, size, chosen))
+            avail, size, chosen = avail & ~closed[branch_v], size + 1, chosen | low
+        else:  # avail ran out: a maximal set, not a pruned state
+            if size > best_size:
+                best_size = size
+                best_mask = chosen
+        if not stack:
+            break
+        avail, size, chosen = stack.pop()
+    return OracleResult(to_vertex_set(best_mask), start - budget, bound_prunes)
 
 
 def brute_force_mis(g: Graph) -> OracleResult:

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from greedymis import Graph, cli, write_graph
+from greedymis import Graph, cli, exact_mis, random_gnm, write_graph
 from greedymis.cli import main
+from greedymis.rng import derive_seed
 
 K5 = Graph(5, list(itertools.combinations(range(5), 2)))
 
@@ -74,8 +75,6 @@ class TestOracle:
         assert capsys.readouterr().out.startswith("alpha=1 ")
 
     def test_timeout_exit_code(self, tmp_path, capsys):
-        from greedymis import random_gnm
-
         path = tmp_path / "big.col"
         path.write_bytes(write_graph(random_gnm(90, 360, seed=5)))
         assert main(["oracle", "--graph", str(path), "--max-nodes", "100"]) == 3
@@ -259,8 +258,12 @@ class TestExperiment:
         ],
     )
     def test_oracle_timeouts_are_reported(self, kind, line, capsys):
+        # the seed-3 runs need 1411 and 1146 search nodes: 1300 excludes the first
+        nodes = [exact_mis(random_gnm(90, 360, derive_seed(3, 90, 360, r))).nodes
+                 for r in range(2)]
+        assert nodes == [1411, 1146]
         args = ["experiment", kind, "--n", "90", "--m", "4n", "--algos", "a1",
-                "--runs", "2", "--seed", "3", "--max-nodes", "6000"]
+                "--runs", "2", "--seed", "3", "--max-nodes", "1300"]
         assert main(args) == 0
         assert capsys.readouterr().out == line
 

@@ -1,11 +1,19 @@
 """Exact solvers: branch-and-bound control vs exhaustive validation oracle."""
 
+import hashlib
 import itertools
 
 import pytest
 
-from greedymis import Graph, OracleTimeout, brute_force_mis, exact_mis, random_gnm
-from greedymis.rng import SplitMix64
+from greedymis import (
+    Graph,
+    OracleResult,
+    OracleTimeout,
+    brute_force_mis,
+    exact_mis,
+    random_gnm,
+)
+from greedymis.rng import SplitMix64, derive_seed
 
 PETERSEN = Graph(
     10,
@@ -17,6 +25,11 @@ PETERSEN = Graph(
 
 def complete(n):
     return Graph(n, list(itertools.combinations(range(n), 2)))
+
+
+def disjoint_triangles(k):
+    return Graph(3 * k, [e for t in range(0, 3 * k, 3)
+                         for e in ((t, t + 1), (t + 1, t + 2), (t, t + 2))])
 
 
 def is_independent(g, s):
@@ -46,10 +59,13 @@ class TestExactMis:
 
 class TestNodeBudget:
     def test_complete_graph_boundary(self):
-        # K5: the root branches on 0, 1, 2 in turn, one child each: 4 nodes
-        assert exact_mis(complete(5), max_nodes=4).alpha == 1
-        with pytest.raises(OracleTimeout, match="after 3 search nodes"):
-            exact_mis(complete(5), max_nodes=3)
+        # K5: the root includes 0 (one child), then the clique cover of the
+        # other four vertices prunes its exclude branch
+        res = exact_mis(complete(5))
+        assert (res.nodes, res.bound_prunes) == (2, 1)
+        assert exact_mis(complete(5), max_nodes=2).alpha == 1
+        with pytest.raises(OracleTimeout, match="after 1 search nodes"):
+            exact_mis(complete(5), max_nodes=1)
 
     def test_edgeless_needs_one_node(self):
         assert exact_mis(Graph(9), max_nodes=1).alpha == 9
@@ -60,16 +76,46 @@ class TestNodeBudget:
             n = 10 + rng.below(21)
             g = random_gnm(n, rng.below(n * (n - 1) // 2 + 1), seed=rng.next_u64())
             full = exact_mis(g)
-            for budget in (1, 10, 100, 10**6):
+            # full.nodes is exactly the smallest budget that finishes
+            for budget in (1, 10, 100, max(full.nodes - 1, 1), full.nodes, 10**6):
                 try:
-                    assert exact_mis(g, max_nodes=budget) == full
+                    res = exact_mis(g, max_nodes=budget)
                 except OracleTimeout:
-                    assert budget < 10**6
+                    assert budget < full.nodes
+                    continue
+                assert res == full
+                assert (res.nodes, res.bound_prunes) == (full.nodes, full.bound_prunes)
+                assert res.nodes <= budget
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_rejects_budget_below_one(self, bad):
         with pytest.raises(ValueError):
             exact_mis(Graph(3), max_nodes=bad)
+
+
+class TestSearchCounters:
+    def test_counters_do_not_take_part_in_equality(self):
+        assert OracleResult((0, 2), nodes=5, bound_prunes=1) == OracleResult((0, 2))
+        assert brute_force_mis(Graph(3)) == exact_mis(Graph(3))
+        assert (brute_force_mis(Graph(3)).nodes, exact_mis(Graph(3)).nodes) == (0, 1)
+
+
+class TestCliqueCover:
+    def test_disjoint_triangles_solve_within_a_small_budget(self):
+        # the size bound alone sees 3 vertices per triangle and branches
+        # through a tree of more than 10**6 nodes; one clique per triangle
+        # prunes every exclude branch
+        res = exact_mis(disjoint_triangles(20), max_nodes=100)
+        assert res.alpha == 20
+        assert (res.nodes, res.bound_prunes) == (21, 19)
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        # 1001 include branches in a row: deeper than Python's default
+        # recursion limit, which a recursive search could not reach
+        g = disjoint_triangles(1001)
+        res = exact_mis(g, max_nodes=2000)
+        assert res.alpha == 1001
+        assert sorted(v // 3 for v in res.witness) == list(range(1001))
 
 
 class TestBruteForce:
@@ -101,6 +147,18 @@ class TestAgreement:
                 assert len(res.witness) == res.alpha
                 assert is_independent(g, res.witness)
 
+    def test_exact_matches_brute_force_where_the_cover_prunes(self):
+        pruned = 0
+        for n in (18, 19, 20):
+            for m in (2 * n, 4 * n, 8 * n):
+                for r in range(2):
+                    g = random_gnm(n, m, seed=derive_seed(18, n, m, r))
+                    res = exact_mis(g)
+                    assert res.alpha == brute_force_mis(g).alpha, g
+                    assert is_independent(g, res.witness)
+                    pruned += res.bound_prunes > 0
+        assert pruned >= 9
+
     def test_complement_clique_duality(self):
         # alpha(G) equals the largest clique of the complement, re-derived
         # here by direct subset scan
@@ -122,3 +180,31 @@ class TestAgreement:
                 [p for p in itertools.combinations(range(n), 2) if not g.adjacent(*p)],
             )
             assert exact_mis(g).alpha == max_clique_size(complement)
+
+
+# SHA-256 of exact_mis witnesses over seeded G(n, m) cells, n beyond the
+# brute-force range.  The digests were recorded from the search before the
+# clique-cover bound went in, so a bound or reordering that moves a single
+# witness fails here rather than only against a rerun of itself.
+GOLDEN_WITNESSES = {
+    (20, 80, 50): "40f19d7be462242623302048020b38f6afccd4766c64bd5360431c29557681c3",
+    (30, 120, 40): "5cfbd3cbce3c75e93efcd1accba138934e694167000fdf1ddaa721d627616013",
+    (40, 160, 30): "b2d28ab3f80b58efdf00ef356259a14555cdb52fd9367b89605d05a374059294",
+    (60, 240, 12): "a83fcf6694f6aa0cf5f38730386332e7eb326aed451ae4b2f64e258cae9a2ad7",
+    (80, 320, 6): "46a6102f3332bfc56765469d542cc0fe993e7204895d74ec9303355f4b30ff0c",
+    (30, 217, 20): "15ca2f17fba4d5293345d198a9ededb5ee73d53f3d44c03864a0bd3fe3e2fa36",
+    (40, 390, 12): "e9f52b34bcf34635e79d053ba459070b5a391298f95c382d2b76b9e511659eb1",
+    (50, 600, 10): "3c7e5a6f0e76da890a46477ddd1a5921870a1a44e07c1e8fa33761d504b31be9",
+    (40, 40, 20): "efa4bcb521ed35c4375e725446b56eabc36185130582136280bc32b2c324f1d3",
+    (60, 90, 12): "20887c753050c95e23caea3479c688d26ba0af39009ecd874a5f74c467d3dbce",
+    (60, 120, 12): "85b59feb89ae1d58265fd10fa0b6dc395219886756ac6573c407d0ae6b3aa2d5",
+}
+
+
+@pytest.mark.parametrize("n, m, runs", sorted(GOLDEN_WITNESSES))
+def test_golden_witnesses(n, m, runs):
+    h = hashlib.sha256()
+    for r in range(runs):
+        g = random_gnm(n, m, seed=derive_seed(10, n, m, r))
+        h.update(f"{r}:{','.join(map(str, exact_mis(g).witness))}\n".encode())
+    assert h.hexdigest() == GOLDEN_WITNESSES[n, m, runs]

@@ -167,19 +167,22 @@ class TestFailureExperiment:
         assert lines[1] == "90,360,0,a1,0,"
 
     def test_node_budget_is_deterministic_across_jobs_and_threads(self):
-        # the two runs need 6148 and 5923 search nodes: a budget of 6000
+        # a budget of 1300 lies between the two runs' node counts, so it
         # excludes exactly one, whatever the machine, pool or thread
+        nodes = [exact_mis(random_gnm(90, 360, derive_seed(3, 90, 360, r))).nodes
+                 for r in range(2)]
+        assert nodes == [1411, 1146]
         cfg = ExperimentConfig((90,), "4n", parse_algorithms("a1"), 2, 3)
-        report = run_failure_experiment(cfg, oracle_max_nodes=6000)
+        report = run_failure_experiment(cfg, oracle_max_nodes=1300)
         (cell,) = report.cells
         assert 0 < cell.oracle_timeouts < cfg.runs
         serial = emit_csv(report)
-        pooled = run_failure_experiment(cfg, jobs=2, oracle_max_nodes=6000)
+        pooled = run_failure_experiment(cfg, jobs=2, oracle_max_nodes=1300)
         assert emit_csv(pooled) == serial
         out = []
 
         def off_main_thread():
-            out.append(emit_csv(run_failure_experiment(cfg, oracle_max_nodes=6000)))
+            out.append(emit_csv(run_failure_experiment(cfg, oracle_max_nodes=1300)))
 
         thread = threading.Thread(target=off_main_thread)
         thread.start()
