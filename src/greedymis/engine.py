@@ -4,7 +4,9 @@ A run starts from every independent k-subset of the graph.  Each set
 scores every vertex of its candidate pool with the configured heuristic
 and adopts the best one (ties broken toward the lowest vertex id); a set
 whose pool is empty is terminal.  The answer is the largest cardinality
-reached.
+reached.  Both heuristics run the same candidate loop and differ only in
+the key: a scores a candidate v by |U'|, the pool vertices outside v's
+closed neighborhood, and b by the integer stability key below.
 
 Every set has exactly one child, one vertex larger, so the paper's
 lockstep rounds with per-generation dedup visit exactly the sets met by
@@ -161,22 +163,19 @@ def _stepper(g: Graph, h: Heuristic, stats: RunStats) -> Callable[[int, int], in
             low = mm & -mm
             mm ^= low
             blocked |= adj[low.bit_length() - 1]
-        checks = c * (n - c)
         pool = full & ~blocked
-        if not pool:
-            stats.adjacency_checks += checks
-            return 0
         width = pool.bit_count()
         stats.heuristic_evals += width
-        checks += width * (c + 1) * (n - c - 1)
+        checks = c * (n - c) + width * (c + 1) * (n - c - 1)
         best_key = -1
         best_bit = 0
         mm = pool
-        if use_b:
-            while mm:
-                low = mm & -mm
-                mm ^= low
-                u2 = (pool & nadj[low.bit_length() - 1]) ^ low
+        while mm:
+            low = mm & -mm
+            mm ^= low
+            u2 = pool & nadj[low.bit_length() - 1]  # U' plus the candidate
+            if use_b:
+                u2 ^= low
                 o = u2.bit_count()
                 checks += o * o + o
                 # keys are capped by the edgeless value o*o*den; skipping
@@ -191,19 +190,13 @@ def _stepper(g: Graph, h: Heuristic, stats: RunStats) -> Callable[[int, int], in
                     m2 ^= l2
                     total += weights[(adj[l2.bit_length() - 1] & u2).bit_count()]
                 key = o * total
-                if key > best_key:
-                    best_key = key
-                    best_bit = low
-        else:
-            while mm:
-                low = mm & -mm
-                mm ^= low
-                key = (pool & nadj[low.bit_length() - 1]).bit_count() - 1
-                if key > best_key:
-                    best_key = key
-                    best_bit = low
+            else:
+                key = u2.bit_count() - 1
+            if key > best_key:
+                best_key = key
+                best_bit = low
         stats.adjacency_checks += checks
-        return smask | best_bit
+        return smask | best_bit if best_bit else 0
 
     return child
 
@@ -247,8 +240,7 @@ def run_greedy(
     k = cfg.k
     stop = g.n + 1 if target is None else len(target)  # no set exceeds n
     visited: set[int] = set()
-    top = k
-    tops: list[int] = []  # terminal sets of cardinality top
+    best = (0, ())  # (-c, set) of the best terminal set; any real one sorts first
     for seed in _seeds(g, k, target or ()):
         smask = mask_of(seed)
         c = k
@@ -261,11 +253,8 @@ def run_greedy(
                 return GreedyResult(to_vertex_set(smask), stats, complete=False)
             grown = child(smask, c)
             if not grown:
-                if c > top:
-                    top, tops = c, []
-                if c == top:
-                    tops.append(smask)
+                best = min(best, (-c, to_vertex_set(smask)))
                 break
             smask = grown
             c += 1
-    return GreedyResult(min(map(to_vertex_set, tops)), stats)
+    return GreedyResult(best[1], stats)

@@ -2,11 +2,12 @@
 
 `exact_mis` is a branch-and-bound control: branch on a maximum-degree
 vertex (include it and delete its closed neighborhood, then exclude it).
-A state is pruned when it cannot beat the best set so far, first by the
-|current| + |remaining| bound, then by |current| + the number of cliques
-in a greedy clique cover of the remaining vertices (an independent set
-meets each clique at most once).  Both cut only subtrees without a
-strictly larger set, so the witness does not depend on the bounds.
+A state is pruned when it cannot beat the best set so far: |current| plus
+the number of cliques in a greedy clique cover of the remaining vertices
+bounds every set below it (an independent set meets each clique at most
+once).  The cover has at most |remaining| cliques, so it also makes every
+cut of the weaker |current| + |remaining| bound.  It cuts only subtrees
+without a strictly larger set, so the witness does not depend on it.
 Vertices with at most one remaining neighbor are taken greedily, which is
 always safe for unweighted independence.  The search runs on an explicit
 stack, so its depth is not limited by Python's recursion limit.  An
@@ -86,8 +87,6 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
                 chosen |= take
                 avail &= ~closed[take.bit_length() - 1]
                 continue
-            if size + avail.bit_count() <= best_size:
-                break
             # cover avail by cliques grown from its lowest vertex; stop once
             # the cover needs more cliques than best_size - size, as it then
             # cannot prune

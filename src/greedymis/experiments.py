@@ -88,6 +88,9 @@ class ExperimentConfig:
             raise ValueError("n_values must be nonempty")
         if not self.algorithms:
             raise ValueError("algorithms must be nonempty")
+        names = [a.name for a in self.algorithms]
+        if len(set(names)) != len(names):
+            raise ValueError(f"algorithm list {names} has a repeated name")
         for n in self.n_values:
             if n < 4:
                 raise ValueError(f"n must be >= 4, got {n}")
@@ -160,6 +163,8 @@ class WorkloadReport:
 
     def ratio_points(self, n: int) -> tuple[tuple[int, Fraction], ...]:
         """(m, b1/a1 adjacency-check ratio) pairs for one n, sorted by m."""
+        if not {"a1", "b1"} <= set(self.algorithms):
+            raise ValueError(f"the b1/a1 ratio needs a1 and b1, report has {self.algorithms}")
         pts = []
         for cell in self.cells:
             if cell.n != n:
@@ -203,6 +208,7 @@ def _counter_worker(args):
 
 
 def _map_runs(worker, argslist, jobs: int):
+    jobs = min(jobs, len(argslist))  # the pool starts every worker up front
     if jobs <= 1:
         return [worker(a) for a in argslist]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

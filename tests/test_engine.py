@@ -170,6 +170,18 @@ class TestRunGreedy:
         # round 1: 20 pool + 60 scoring; round 2: 4 pairs pay 6 pool checks each
         assert res.stats.adjacency_checks == 80 + 24
 
+    def test_counters_heuristic_b_edgeless_three(self):
+        res = run_greedy(Graph(3), EngineConfig(Heuristic.B, 1))
+        assert res.witness == (0, 1, 2)
+        assert res.stats.generation_sizes == [3, 2, 1]
+        # round 1: 3 singletons pay 2 pool + 2 * 2 scoring checks, and each
+        # of their 2 candidates has |U'| = 1, so 1**2 + 1 stability checks;
+        # the second candidate only ties the capped key and is skipped, but
+        # it is still charged.  Round 2: 2 pairs pay 2 pool checks each and
+        # score one candidate with |U'| = 0.  Round 3: {0,1,2} pays 3 * 0.
+        assert res.stats.heuristic_evals == 3 * 2 + 2 * 1
+        assert res.stats.adjacency_checks == 3 * (2 + 4 + 2 * (1 + 1)) + 2 * 2
+
     def test_path_heuristic_b(self):
         res = run_greedy(P6, EngineConfig(Heuristic.B, 1))
         assert res.size == 3

@@ -116,6 +116,14 @@ class TestConfig:
             with pytest.raises(ValueError, match="m rule"):
                 ExperimentConfig((10,), rule, algos, 1, 0)
 
+    def test_repeated_algorithm_rejected(self):
+        # each member would run twice and write every CSV row twice
+        a1 = EngineConfig(Heuristic.A, 1)
+        with pytest.raises(ValueError, match="repeated name"):
+            ExperimentConfig((10,), "4n", (a1, a1), 3, 1)
+        with pytest.raises(ValueError, match="repeated name"):
+            ExperimentConfig((10,), "4n", (a1, EngineConfig(Heuristic.B, 1), a1), 3, 1)
+
     def test_density_grid(self):
         grid = density_grid(30)
         assert grid[-1] == comb(30, 2)
@@ -259,6 +267,50 @@ class TestWorkloadExperiment:
         report = run_workload_experiment(self.CFG)
         with pytest.raises(ValueError):
             report.max_ratio(11)
+
+    @pytest.mark.parametrize("algos", ["a1", "b1", "a2,b1", "a1,b2"])
+    def test_ratio_needs_a1_and_b1(self, algos):
+        cfg = ExperimentConfig((10,), (9,), parse_algorithms(algos), 1, 8)
+        report = run_workload_experiment(cfg)
+        with pytest.raises(ValueError, match="needs a1 and b1"):
+            report.ratio_points(10)
+        with pytest.raises(ValueError, match="needs a1 and b1"):
+            emit_plot(report)
+
+
+class TestMapRuns:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Record each pool's max_workers; map in-process, start no worker."""
+        made = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        return made
+
+    def test_workers_capped_at_run_count(self, pools):
+        assert experiments._map_runs(abs, [-1, -2], 64) == [1, 2]
+        assert experiments._map_runs(abs, [-3], 64) == [3]  # serial
+        assert experiments._map_runs(abs, [], 64) == []
+        assert pools == [2]
+
+    def test_runner_with_few_runs_and_many_jobs(self, pools):
+        cfg = ExperimentConfig((10,), (9,), parse_algorithms("a1"), 2, 1)
+        serial = emit_csv(run_workload_experiment(cfg))
+        assert emit_csv(run_workload_experiment(cfg, jobs=64)) == serial
+        assert pools == [2]
 
 
 class TestEmission:

@@ -1,0 +1,197 @@
+"""Mutation check: every listed mutant of ``src/greedymis`` must fail its tests.
+
+Each mutant replaces one exact text of one source file.  The text must
+occur exactly once, so a refactor that moves or rewrites the site fails
+here loudly instead of silently dropping the mutant.  For each mutant the
+script copies ``src/`` to a temporary directory, applies the mutant there
+and runs the named test modules against the copy with ``pytest -x -q``.
+A mutant is killed when they fail; one they pass survives.  A timeout or a
+mutant that stops the tests from being collected is an error, not a kill.
+
+Run from anywhere, with pytest and hypothesis installed::
+
+    python tools/mutants.py    # exit 1 unless every mutant is killed
+
+Before the mutants it runs every named module once on the unmutated
+copy, so a suite that already fails cannot kill anything by accident.
+Mutants that change no output cannot be killed; they are left out, each
+with its reason, in the comments of MUTANTS.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300  # per pytest run
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # under src/greedymis
+    old: str  # must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # modules under tests/ that must fail
+
+
+MUTANTS = (
+    # --- engine: selection, terminal sets, cost model -------------------
+    Mutant("tie-break", "engine.py",
+           "            if key > best_key:\n",
+           "            if key >= best_key:\n",
+           ("test_engine.py",)),
+    # dropped: the b cap `<=` -> `<` is equivalent, since a capped key can
+    # only tie the incumbent and a tie never replaces it.
+    # dropped: the a key without `- 1` is equivalent, since it shifts every
+    # key alike and each key stays above the initial -1.
+    Mutant("b-charge-after-cap", "engine.py",
+           "                checks += o * o + o\n"
+           "                # keys are capped by the edgeless value o*o*den; skipping\n"
+           "                # candidates that cannot beat the incumbent never changes\n"
+           "                # the selection (counters above are charged regardless)\n"
+           "                if o * o * den <= best_key:\n"
+           "                    continue\n",
+           "                if o * o * den <= best_key:\n"
+           "                    continue\n"
+           "                checks += o * o + o\n",
+           ("test_engine.py",)),
+    Mutant("pool-charge", "engine.py",
+           "checks = c * (n - c) + ",
+           "checks = c * (n - c - 1) + ",
+           ("test_engine.py",)),
+    Mutant("empty-pool-terminal", "engine.py",
+           "return smask | best_bit if best_bit else 0",
+           "return smask | best_bit",
+           ("test_engine.py",)),
+    Mutant("b-weights", "engine.py",
+           "weights = tuple(den // (d + 1) ",
+           "weights = tuple(den // (d + 2) ",
+           ("test_engine.py",)),
+    Mutant("seed-filter-skipped", "engine.py",
+           "            if blocked >> v & 1:\n",
+           "            if False:\n",
+           ("test_engine.py",)),
+    Mutant("target-stop-late", "engine.py",
+           "            if c >= stop:\n",
+           "            if c > stop:\n",
+           ("test_engine.py",)),
+    # --- exact oracle ---------------------------------------------------
+    Mutant("cover-prune-removed", "exact.py",
+           "            if not rest:\n",
+           "            if False:\n",
+           ("test_exact.py",)),
+    Mutant("cover-one-clique-too-many", "exact.py",
+           "while rest and spare > 0:",
+           "while rest and spare >= 0:",
+           ("test_exact.py",)),
+    Mutant("take-degree-two", "exact.py",
+           "                if d <= 1:\n",
+           "                if d <= 2:\n",
+           ("test_exact.py",)),
+    # --- seeded randomness ----------------------------------------------
+    Mutant("below-accepts-bound", "rng.py",
+           "            if r < bound:\n",
+           "            if r <= bound:\n",
+           ("test_graph.py", "test_experiments.py")),
+    Mutant("derive-seed-order", "rng.py",
+           "    for v in values:\n",
+           "    for v in reversed(values):\n",
+           ("test_graph.py", "test_experiments.py")),
+    # --- experiment harness ---------------------------------------------
+    Mutant("cell-results-slice", "experiments.py",
+           "results[i * cfg.runs : (i + 1) * cfg.runs]",
+           "results[i : i + cfg.runs]",
+           ("test_experiments.py",)),
+    Mutant("worker-target-all-vertices", "experiments.py",
+           "run_greedy(g, a, target=oracle.witness)",
+           "run_greedy(g, a, target=tuple(range(g.n)))",
+           ("test_experiments.py",)),
+    Mutant("jobs-cap-removed", "experiments.py",
+           "    jobs = min(jobs, len(argslist))",
+           "    pass",
+           ("test_experiments.py",)),
+    Mutant("repeated-algorithm-accepted", "experiments.py",
+           "        if len(set(names)) != len(names):\n",
+           "        if False:\n",
+           ("test_experiments.py",)),
+    Mutant("ratio-guard-removed", "experiments.py",
+           '        if not {"a1", "b1"} <= set(self.algorithms):\n',
+           "        if False:\n",
+           ("test_experiments.py",)),
+    # --- DIMACS ---------------------------------------------------------
+    Mutant("dimacs-read-zero-based", "dimacs.py",
+           "edges.append((u - 1, v - 1))",
+           "edges.append((u, v))",
+           ("test_dimacs.py",)),
+    Mutant("dimacs-write-zero-based", "dimacs.py",
+           'f"e {u + 1} {v + 1}"',
+           'f"e {u} {v}"',
+           ("test_dimacs.py",)),
+)
+
+
+def run_tests(src: Path, modules) -> int | None:
+    """Exit code of pytest on ``modules`` against ``src``; None on timeout."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    cmd += [str(ROOT / "tests" / m) for m in modules]
+    try:
+        proc = subprocess.run(
+            cmd, cwd=ROOT, env=env, capture_output=True, timeout=TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        return None
+    return proc.returncode
+
+
+def copy_src(tmp: str) -> Path:
+    src = Path(tmp) / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def mutated(src: Path, m: Mutant) -> str:
+    """The text of ``m.path`` under ``src`` with the mutant applied."""
+    text = (src / "greedymis" / m.path).read_text()
+    count = text.count(m.old)
+    if count != 1:
+        sys.exit(f"{m.name}: old text occurs {count} times in {m.path}, not once")
+    return text.replace(m.old, m.new)
+
+
+def main() -> int:
+    for m in MUTANTS:  # every site must exist before anything runs
+        mutated(ROOT / "src", m)
+
+    modules = sorted({t for m in MUTANTS for t in m.tests})
+    with tempfile.TemporaryDirectory() as tmp:
+        code = run_tests(copy_src(tmp), modules)
+    if code != 0:
+        sys.exit(f"unmutated tests do not pass (pytest exit {code}): {modules}")
+
+    survivors = []
+    for m in MUTANTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            src = copy_src(tmp)
+            (src / "greedymis" / m.path).write_text(mutated(src, m))
+            code = run_tests(src, m.tests)
+        # pytest exits 1 when tests ran and some failed
+        verdict = {1: "killed", 0: "SURVIVED", None: "TIMED OUT"}.get(
+            code, f"ERROR (pytest exit {code})"
+        )
+        print(f"{verdict:<10} {m.name}", flush=True)
+        if code != 1:
+            survivors.append(m.name)
+    killed = len(MUTANTS) - len(survivors)
+    print(f"{killed}/{len(MUTANTS)} mutants killed; survivors: {survivors or 'none'}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
