@@ -12,6 +12,7 @@ output files on any machine.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -42,10 +43,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int(text: str) -> int:
+    if not re.fullmatch("-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
+        return tuple(_int(part) for part in text.split(","))
+    except argparse.ArgumentTypeError:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from None
 
 
@@ -54,7 +61,7 @@ def _edge_counts(text: str) -> str | tuple[int, ...]:
 
 
 def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
+    if not re.fullmatch("[0-9]+", text) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
@@ -73,9 +80,9 @@ def _build_parser() -> _Parser:
     p_oracle.add_argument("--max-nodes", type=_positive_int, help="search-node budget")
 
     p_gen = sub.add_parser("generate", help="write a seeded uniform G(n,m) graph")
-    p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--m", type=int, required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--n", type=_int, required=True)
+    p_gen.add_argument("--m", type=_int, required=True)
+    p_gen.add_argument("--seed", type=_int, default=0)
     p_gen.add_argument("--out", help="output path (stdout if omitted)")
 
     p_formula = sub.add_parser(
@@ -97,7 +104,7 @@ def _build_parser() -> _Parser:
     )
     p_exp.add_argument("--algos", required=True, help="e.g. a1,b1,a2,b2")
     p_exp.add_argument("--runs", type=_positive_int, default=1)
-    p_exp.add_argument("--seed", type=int, default=0)
+    p_exp.add_argument("--seed", type=_int, default=0)
     p_exp.add_argument("--out", help="CSV output path")
     p_exp.add_argument("--plot", help="SVG output path (workload only)")
     p_exp.add_argument("--jobs", type=_positive_int, default=1)
@@ -157,6 +164,8 @@ def _cmd_experiment(args) -> int:
         raise UsageError(str(exc)) from None
     if args.plot and not {"a1", "b1"} <= {a.name for a in algorithms}:
         raise UsageError("--plot draws the b1/a1 ratio, so --algos must include a1 and b1")
+    if args.out and args.plot and Path(args.out).resolve() == Path(args.plot).resolve():
+        raise UsageError("--out and --plot must name different files")
     for path in filter(None, (args.out, args.plot)):
         if Path(path).is_dir():
             raise OSError(f"cannot write {path}: it is a directory")

@@ -9,10 +9,11 @@ once).  The cover has at most |remaining| cliques, so it also makes every
 cut of the weaker |current| + |remaining| bound.  It cuts only subtrees
 without a strictly larger set, so the witness does not depend on it.
 Vertices with at most one remaining neighbor are taken greedily, which is
-always safe for unweighted independence.  The search runs on an explicit
-stack, so its depth is not limited by Python's recursion limit.  An
-optional budget caps the search nodes (entries into a search state), so a
-limited search stops at the same point on every machine.
+always safe for unweighted independence.  A search state is the bitmask
+pair (avail, chosen), and sizes are read from the sets.  States wait on
+an explicit stack, so the depth is not limited by Python's recursion
+limit.  An optional budget caps the search nodes (entries into a search
+state), so a limited search stops at the same point on every machine.
 `brute_force_mis` scans every subset and exists to validate the control
 on small inputs.
 """
@@ -54,17 +55,12 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
         raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
     adj = g.adj
     closed = [a | (1 << v) for v, a in enumerate(adj)]
-    best_size = 0
     best_mask = 0
     bound_prunes = 0
-    # budget counts down from start (below 0 without a limit, so it never
-    # hits 0); nodes entered so far are start - budget, the root included
-    start = -1 if max_nodes is None else max_nodes
-    budget = start - 1
-    # each entry resumes a node at its exclude branch: (avail, size, chosen)
-    stack = []
-    avail, size, chosen = g.full_mask, 0, 0
-    while True:
+    nodes = 1  # search nodes entered so far, the root included
+    stack = [(g.full_mask, 0)]  # states still to search: (avail, chosen)
+    while stack:
+        avail, chosen = stack.pop()
         while avail:
             # one scan: take any degree<=1 vertex, else remember the max-degree one
             take = 0
@@ -83,14 +79,13 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
                     branch_deg = d
                     branch_v = v
             if take:
-                size += 1
                 chosen |= take
                 avail &= ~closed[take.bit_length() - 1]
                 continue
             # cover avail by cliques grown from its lowest vertex; stop once
-            # the cover needs more cliques than best_size - size, as it then
+            # the cover needs more cliques than |best| - |chosen|, as it then
             # cannot prune
-            spare = best_size - size
+            spare = best_mask.bit_count() - chosen.bit_count()
             rest = avail
             while rest and spare > 0:
                 spare -= 1
@@ -104,20 +99,16 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
             if not rest:
                 bound_prunes += 1
                 break
-            if budget == 0:
+            if nodes == max_nodes:
                 raise OracleTimeout(f"oracle timed out after {max_nodes} search nodes")
-            budget -= 1
+            nodes += 1
             low = 1 << branch_v
-            stack.append((avail ^ low, size, chosen))
-            avail, size, chosen = avail & ~closed[branch_v], size + 1, chosen | low
+            stack.append((avail ^ low, chosen))
+            avail, chosen = avail & ~closed[branch_v], chosen | low
         else:  # avail ran out: a maximal set, not a pruned state
-            if size > best_size:
-                best_size = size
+            if chosen.bit_count() > best_mask.bit_count():
                 best_mask = chosen
-        if not stack:
-            break
-        avail, size, chosen = stack.pop()
-    return OracleResult(to_vertex_set(best_mask), start - budget, bound_prunes)
+    return OracleResult(to_vertex_set(best_mask), nodes, bound_prunes)
 
 
 def brute_force_mis(g: Graph) -> OracleResult:

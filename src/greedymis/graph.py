@@ -154,7 +154,7 @@ def random_gnm(n: int, m: int, seed: int) -> Graph:
     (Floyd's sampling algorithm over pair ranks), driven by the package
     SplitMix64 stream, so a seed pins the graph exactly.
     """
-    npairs = n * (n - 1) // 2
+    npairs = n * (n - 1) // 2 if n > 0 else 0  # a negative n has no pairs
     if not 0 <= m <= npairs:
         raise GraphError(f"m={m} out of range for n={n} (max {npairs})")
     rng = SplitMix64(seed)

@@ -190,6 +190,8 @@ class TestExperiment:
             ["--max-nodes", "0"],
             ["--max-nodes", "-1"],
             ["--max-nodes", "1.5"],
+            ["--runs", "３"],
+            ["--runs", "٢"],
         ],
     )
     def test_count_flags_must_be_positive(self, flags, capsys):
@@ -199,6 +201,15 @@ class TestExperiment:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags", [["--n", "３０"], ["--n", "3_0"], ["--seed", "３"]]
+    )
+    def test_integer_flags_take_ascii_digits(self, flags, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_failure_experiment", lambda *a, **k: pytest.fail("ran"))
+        args = ["experiment", "failure", "--n", "30", "--m", "4n", "--algos", "a1", *flags]
+        assert main(args) == 1
+        assert repr(flags[1]) in _single_error_line(capsys)
 
     def test_infeasible_m_is_input_error(self, capsys):
         args = ["experiment", "failure", "--n", "10", "--m", "99", "--runs", "2",
@@ -249,6 +260,16 @@ class TestExperiment:
             assert str(path) in _single_error_line(capsys)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
         assert list(existing_dir.iterdir()) == []
+
+    def test_out_and_plot_must_differ(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_workload_experiment", lambda *a, **k: pytest.fail("ran"))
+        (tmp_path / "sub").mkdir()
+        args = ["experiment", "workload", "--n", "10", "--m", "9,22", "--algos", "a1,b1",
+                "--seed", "1", "--out", str(tmp_path / "same.out"),
+                "--plot", str(tmp_path / "sub" / ".." / "same.out")]
+        assert main(args) == 1
+        assert _single_error_line(capsys) == "error: --out and --plot must name different files\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
 
     @pytest.mark.parametrize(
         "kind, line",

@@ -23,6 +23,7 @@ from greedymis import (
 from greedymis.engine import MAX_SEEDS
 from greedymis.heuristics import score
 from greedymis.rng import SplitMix64
+from reference import lockstep_run
 
 C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 K5 = Graph(5, list(itertools.combinations(range(5), 2)))
@@ -381,6 +382,28 @@ class TestLockstepReferenceK2:
     def test_chain_run_matches_lockstep_rounds(self, h):
         graphs = seeded_graphs(15, max_n=13, base=2718 + ord(h.value))
         assert_matches_lockstep(graphs, h, 2)
+
+
+class TestIndependentReference:
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("h", [Heuristic.A, Heuristic.B])
+    def test_full_run_matches_lockstep_reference(self, h, k):
+        # reference.py re-derives seeds, selection, dedup and the cost model
+        # without the engine, so a shared mistake cannot hide here
+        checked = 0
+        for g in seeded_graphs(24, max_n=10, base=3141 + 10 * k + ord(h.value)):
+            ref = lockstep_run(g, h, k)
+            if ref is None:
+                with pytest.raises(NoSeedSetsError):
+                    run_greedy(g, EngineConfig(h, k))
+                continue
+            res = run_greedy(g, EngineConfig(h, k))
+            assert (res.size, res.witness) == (ref.size, ref.witness)
+            assert res.stats.generation_sizes == ref.generation_sizes
+            assert res.stats.heuristic_evals == ref.heuristic_evals
+            assert res.stats.adjacency_checks == ref.adjacency_checks
+            checked += 1
+        assert checked >= 20, (h, k, checked)
 
 
 class TestChainWitness:

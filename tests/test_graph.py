@@ -83,6 +83,12 @@ class TestRandomGnm:
         with pytest.raises(GraphError):
             random_gnm(5, 11, seed=0)
 
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_negative_n_rejected(self, m):
+        # n * (n - 1) // 2 is positive for n < 0 too; m = 3 used to hang
+        with pytest.raises(GraphError):
+            random_gnm(-5, m, seed=0)
+
     def test_uniformity_smoke(self):
         # 10,000 single-edge draws on n=4: each of the 6 pairs near 1/6
         counts = {pair: 0 for pair in itertools.combinations(range(4), 2)}

@@ -94,6 +94,20 @@ MUTANTS = (
            "                if d <= 1:\n",
            "                if d <= 2:\n",
            ("test_exact.py",)),
+    # an unlimited search also fails here (None does not compare with >),
+    # but the budget tests alone kill the boundary shift
+    Mutant("node-budget-late", "exact.py",
+           "            if nodes == max_nodes:\n",
+           "            if nodes > max_nodes:\n",
+           ("test_exact.py",)),
+    Mutant("node-count-from-zero", "exact.py",
+           "    nodes = 1  #",
+           "    nodes = 0  #",
+           ("test_exact.py",)),
+    Mutant("leaf-tie-replaces-best", "exact.py",
+           "            if chosen.bit_count() > best_mask.bit_count():\n",
+           "            if chosen.bit_count() >= best_mask.bit_count():\n",
+           ("test_exact.py",)),
     # --- seeded randomness ----------------------------------------------
     Mutant("below-accepts-bound", "rng.py",
            "            if r < bound:\n",
@@ -124,6 +138,15 @@ MUTANTS = (
            '        if not {"a1", "b1"} <= set(self.algorithms):\n',
            "        if False:\n",
            ("test_experiments.py",)),
+    # --- command line --------------------------------------------------
+    Mutant("same-path-check-removed", "cli.py",
+           "    if args.out and args.plot and Path(args.out).resolve() == Path(args.plot).resolve():\n",
+           "    if False:\n",
+           ("test_cli.py",)),
+    Mutant("count-digits-any-script", "cli.py",
+           're.fullmatch("[0-9]+", text)',
+           "text.isdecimal()",
+           ("test_cli.py",)),
     # --- DIMACS ---------------------------------------------------------
     Mutant("dimacs-read-zero-based", "dimacs.py",
            "edges.append((u - 1, v - 1))",
