@@ -1,11 +1,14 @@
 """DIMACS-style edge-list text format.
 
 Header line ``p edge <n> <m>`` followed by exactly m ``e <u> <v>`` lines
-with 1-based endpoints.  Lines starting with ``c`` and blank lines are
-ignored.  Vertex ids are 0-based in memory and shifted on read/write.
+with 1-based endpoints; every count and endpoint is ASCII digits.  Lines
+starting with ``c`` and blank lines are ignored.  Vertex ids are 0-based
+in memory and shifted on read/write.
 """
 
 from __future__ import annotations
+
+import re
 
 from .graph import Graph
 
@@ -16,6 +19,11 @@ class GraphParseError(ValueError):
     def __init__(self, line: int, message: str) -> None:
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+def _digits(fields: list[str]) -> bool:
+    """Whether every field is ASCII digits: int() alone also takes ３, 1_0 and +1."""
+    return all(re.fullmatch("[0-9]+", f) for f in fields)
 
 
 def read_graph(data: bytes | str) -> Graph:
@@ -32,25 +40,16 @@ def read_graph(data: bytes | str) -> Graph:
         if parts[0] == "p":
             if n is not None:
                 raise GraphParseError(lineno, "duplicate header line")
-            if len(parts) != 4 or parts[1] != "edge":
+            if len(parts) != 4 or parts[1] != "edge" or not _digits(parts[2:]):
                 raise GraphParseError(lineno, f"malformed header {line!r}")
-            try:
-                n = int(parts[2])
-                declared_m = int(parts[3])
-            except ValueError:
-                raise GraphParseError(lineno, f"malformed header {line!r}") from None
-            if n < 0 or declared_m < 0:
-                raise GraphParseError(lineno, f"negative count in header {line!r}")
+            n, declared_m = int(parts[2]), int(parts[3])
             header = lineno
         elif parts[0] == "e":
             if n is None:
                 raise GraphParseError(lineno, "edge line before header")
-            if len(parts) != 3:
+            if len(parts) != 3 or not _digits(parts[1:]):
                 raise GraphParseError(lineno, f"malformed edge line {line!r}")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise GraphParseError(lineno, f"malformed edge line {line!r}") from None
+            u, v = int(parts[1]), int(parts[2])
             if not (1 <= u <= n and 1 <= v <= n):
                 raise GraphParseError(lineno, f"endpoint out of range in {line!r}")
             if u == v:

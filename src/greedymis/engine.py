@@ -6,7 +6,8 @@ and adopts the best one (ties broken toward the lowest vertex id); a set
 whose pool is empty is terminal.  The answer is the largest cardinality
 reached.  Both heuristics run the same candidate loop and differ only in
 the key: a scores a candidate v by |U'|, the pool vertices outside v's
-closed neighborhood, and b by the integer stability key below.
+closed neighborhood, and b by the integer stability key below.  The
+winner's U' is the child's pool; seeds get theirs from the seed filter.
 
 Every set has exactly one child, one vertex larger, so the paper's
 lockstep rounds with per-generation dedup visit exactly the sets met by
@@ -23,9 +24,10 @@ stopped run's size, only where it stops.  The oracle-paired experiments
 pass a maximum independent set, whose subsets' chains usually reach
 alpha at once.
 
-Instrumentation counters charge a fixed machine-independent cost model:
-computing the common non-neighbors of a c-set costs c*(n-c) adjacency
-checks, and a heuristic-b scoring additionally charges |U'|**2 checks for
+Instrumentation counters charge a fixed machine-independent cost model,
+not the engine's own work: each expanded c-set is charged c*(n-c)
+adjacency checks for its common non-neighbors, though the engine inherits
+them, and a heuristic-b scoring additionally charges |U'|**2 checks for
 induced degrees plus |U'| for evaluating the stability terms.
 
 Heuristic-b keys are integers: with den = lcm(1..n) and weights[d] =
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations
 from math import comb, lcm
 
-from .graph import Graph, VertexSet, mask_of, to_vertex_set
+from .graph import Graph, VertexSet, mask_of, non_neighbors, to_vertex_set
 from .heuristics import Heuristic
 
 MAX_SEEDS = 10**6  # largest C(n, k) a run may enumerate
@@ -105,11 +107,12 @@ class GreedyResult:
         return len(self.witness)
 
 
-def _seeds(g: Graph, k: int, w: VertexSet = ()) -> Iterator[VertexSet]:
+def _seeds(g: Graph, k: int, w: VertexSet = ()) -> Iterator[tuple[int, int]]:
     """Independent k-subsets of ``w``, then of V(g) lexicographically, streamed.
 
-    A subset of ``w`` comes again in the lexicographic pass; callers skip
-    sets already visited.
+    Each comes as ``(mask, pool)``, the pool being the set's common
+    non-neighbors.  A subset of ``w`` comes again in the lexicographic
+    pass; callers skip sets already visited.
     """
     if k < 1:
         raise ValueError(f"initial cardinality must be >= 1, got {k}")
@@ -122,60 +125,53 @@ def _seeds(g: Graph, k: int, w: VertexSet = ()) -> Iterator[VertexSet]:
             f"target must be strictly increasing vertex ids below {g.n}, got {w!r}"
         )
     adj = g.adj
+    full = g.full_mask
     found = False
     for combo in chain(combinations(w, k), combinations(range(g.n), k)):
-        blocked = 0
+        blocked = smask = 0
         for v in combo:
             if blocked >> v & 1:
                 break
             blocked |= adj[v]
+            smask |= 1 << v
         else:
             found = True
-            yield combo
+            yield smask, full & ~(blocked | smask)
     if not found:
         raise NoSeedSetsError(f"no independent set of cardinality {k} exists")
 
 
 def initial_generation(g: Graph, k: int) -> Generation:
     """All independent k-subsets of V(g) in lexicographic order."""
-    return Generation(tuple(_seeds(g, k)), k)
+    return Generation(tuple(to_vertex_set(s) for s, _ in _seeds(g, k)), k)
 
 
-def _stepper(g: Graph, h: Heuristic, stats: RunStats) -> Callable[[int, int], int]:
-    """Build ``child(smask, c)``: the c-set ``smask`` grown by its best candidate.
+def _stepper(g: Graph, h: Heuristic, stats: RunStats) -> Callable[..., tuple[int, int]]:
+    """Build ``child(smask, pool, c)``: the c-set ``smask`` grown by its best candidate.
 
-    Returns 0 when the candidate pool is empty.  Every call charges the
-    set's pool and scoring cost to ``stats``.
+    Returns the child (0 when ``pool`` is empty) and its pool, the winner's
+    U'.  Every call charges the set's pool and scoring cost to ``stats``.
     """
     n = g.n
     adj = g.adj
-    nadj = [~a for a in adj]
-    full = g.full_mask
+    outside = [~a ^ (1 << v) for v, a in enumerate(adj)]  # all but N[v]
     use_b = h is Heuristic.B
     if use_b:
         den = lcm(*range(1, n + 1))
         weights = tuple(den // (d + 1) for d in range(n))
 
-    def child(smask: int, c: int) -> int:
-        blocked = smask
-        mm = smask
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            blocked |= adj[low.bit_length() - 1]
-        pool = full & ~blocked
+    def child(smask: int, pool: int, c: int) -> tuple[int, int]:
         width = pool.bit_count()
         stats.heuristic_evals += width
         checks = c * (n - c) + width * (c + 1) * (n - c - 1)
         best_key = -1
-        best_bit = 0
+        best_bit = best_pool = 0
         mm = pool
         while mm:
             low = mm & -mm
             mm ^= low
-            u2 = pool & nadj[low.bit_length() - 1]  # U' plus the candidate
+            u2 = pool & outside[low.bit_length() - 1]  # U'
             if use_b:
-                u2 ^= low
                 o = u2.bit_count()
                 checks += o * o + o
                 # keys are capped by the edgeless value o*o*den; skipping
@@ -191,12 +187,13 @@ def _stepper(g: Graph, h: Heuristic, stats: RunStats) -> Callable[[int, int], in
                     total += weights[(adj[l2.bit_length() - 1] & u2).bit_count()]
                 key = o * total
             else:
-                key = u2.bit_count() - 1
+                key = u2.bit_count()
             if key > best_key:
                 best_key = key
                 best_bit = low
+                best_pool = u2
         stats.adjacency_checks += checks
-        return smask | best_bit if best_bit else 0
+        return (smask | best_bit if best_bit else 0), best_pool
 
     return child
 
@@ -211,11 +208,11 @@ def expand_generation(
     pool computations are charged to ``stats``.
     """
     child = _stepper(g, h, stats)
-    children = dict.fromkeys(child(mask_of(s), gen.cardinality) for s in gen.sets)
-    children.pop(0, None)
-    return Generation(
-        tuple(to_vertex_set(c) for c in children), gen.cardinality + 1
+    children = dict.fromkeys(
+        child(mask_of(s), mask_of(non_neighbors(g, s)), gen.cardinality)[0] for s in gen.sets
     )
+    children.pop(0, None)
+    return Generation(tuple(to_vertex_set(c) for c in children), gen.cardinality + 1)
 
 
 def run_greedy(
@@ -241,8 +238,7 @@ def run_greedy(
     stop = g.n + 1 if target is None else len(target)  # no set exceeds n
     visited: set[int] = set()
     best = (0, ())  # (-c, set) of the best terminal set; any real one sorts first
-    for seed in _seeds(g, k, target or ()):
-        smask = mask_of(seed)
+    for smask, pool in _seeds(g, k, target or ()):
         c = k
         while smask not in visited:
             visited.add(smask)
@@ -251,7 +247,7 @@ def run_greedy(
             sizes[c - k] += 1
             if c >= stop:
                 return GreedyResult(to_vertex_set(smask), stats, complete=False)
-            grown = child(smask, c)
+            grown, pool = child(smask, pool, c)
             if not grown:
                 best = min(best, (-c, to_vertex_set(smask)))
                 break

@@ -36,6 +36,11 @@ class TestRead:
             ("p edge 3 5\ne 1 2\n", 1),  # fewer edge lines than declared
             ("c x\np edge 3 1\ne 1 2\ne 2 3\n", 2),  # more edge lines than declared
             ("p edge 3 1\ne 1 2\ne 2 1\n", 1),  # e lines count, not distinct edges
+            ("p edge ３ 1\n", 1),  # fullwidth digit: counts are ASCII digits only
+            ("p edge 1_0 0\n", 1),  # digit-group underscore
+            ("p edge 3 +1\n", 1),  # signed count
+            ("p edge 3 1\ne 1 ２\n", 2),  # fullwidth digit in an endpoint
+            ("p edge -3 0\n", 1),  # negative count
         ],
     )
     def test_errors_carry_line_number(self, body, lineno):

@@ -405,6 +405,30 @@ class TestIndependentReference:
             checked += 1
         assert checked >= 20, (h, k, checked)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("h", [Heuristic.A, Heuristic.B])
+    def test_target_run_matches_lockstep_reference(self, h, k):
+        # a target W stops the run at cardinality max(len(W), k) if the full
+        # run gets there.  W is a maximum independent set, one vertex less,
+        # or all of V(g), which no run reaches on a graph with an edge
+        checked = 0
+        for g in seeded_graphs(12, max_n=10, base=2718 + 10 * k + ord(h.value)):
+            ref = lockstep_run(g, h, k)
+            alpha_set = brute_force_mis(g).witness
+            for w in (alpha_set, alpha_set[:-1], tuple(range(g.n))):
+                if ref is None:
+                    with pytest.raises(NoSeedSetsError):
+                        run_greedy(g, EngineConfig(h, k), target=w)
+                    continue
+                res = run_greedy(g, EngineConfig(h, k), target=w)
+                assert res.size == min(ref.size, max(len(w), k)), (g, w)
+                assert res.complete is (ref.size < len(w)), (g, w)
+                if res.complete:
+                    assert res.witness == ref.witness
+                assert is_independent(g, res.witness)
+                checked += 1
+        assert checked >= 20, (h, k, checked)
+
 
 class TestChainWitness:
     def test_witness_is_smallest_final_set_not_first_found(self):

@@ -48,8 +48,6 @@ MUTANTS = (
            ("test_engine.py",)),
     # dropped: the b cap `<=` -> `<` is equivalent, since a capped key can
     # only tie the incumbent and a tie never replaces it.
-    # dropped: the a key without `- 1` is equivalent, since it shifts every
-    # key alike and each key stays above the initial -1.
     Mutant("b-charge-after-cap", "engine.py",
            "                checks += o * o + o\n"
            "                # keys are capped by the edgeless value o*o*den; skipping\n"
@@ -66,8 +64,20 @@ MUTANTS = (
            "checks = c * (n - c - 1) + ",
            ("test_engine.py",)),
     Mutant("empty-pool-terminal", "engine.py",
-           "return smask | best_bit if best_bit else 0",
-           "return smask | best_bit",
+           "(smask | best_bit if best_bit else 0), best_pool",
+           "smask | best_bit, best_pool",
+           ("test_engine.py",)),
+    Mutant("child-pool-is-parent-pool", "engine.py",
+           "best_pool = u2",
+           "best_pool = pool",
+           ("test_engine.py",)),
+    Mutant("seed-pool-keeps-seed", "engine.py",
+           "full & ~(blocked | smask)",
+           "full & ~blocked",
+           ("test_engine.py",)),
+    Mutant("outside-keeps-candidate", "engine.py",
+           "~a ^ (1 << v)",
+           "~a",
            ("test_engine.py",)),
     Mutant("b-weights", "engine.py",
            "weights = tuple(den // (d + 1) ",
@@ -151,6 +161,10 @@ MUTANTS = (
     Mutant("dimacs-read-zero-based", "dimacs.py",
            "edges.append((u - 1, v - 1))",
            "edges.append((u, v))",
+           ("test_dimacs.py",)),
+    Mutant("dimacs-digits-any-script", "dimacs.py",
+           're.fullmatch("[0-9]+", f)',
+           "f.isdecimal()",
            ("test_dimacs.py",)),
     Mutant("dimacs-write-zero-based", "dimacs.py",
            'f"e {u + 1} {v + 1}"',
