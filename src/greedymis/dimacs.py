@@ -1,9 +1,10 @@
 """DIMACS-style edge-list text format.
 
 Header line ``p edge <n> <m>`` followed by exactly m ``e <u> <v>`` lines
-with 1-based endpoints; every count and endpoint is ASCII digits.  Lines
-starting with ``c`` and blank lines are ignored.  Vertex ids are 0-based
-in memory and shifted on read/write.
+with 1-based endpoints; every count and endpoint is at most 13 ASCII
+digits, and n is at most ``MAX_VERTICES``.  Lines starting with ``c`` and
+blank lines are ignored.  Vertex ids are 0-based in memory and shifted on
+read/write.
 """
 
 from __future__ import annotations
@@ -21,9 +22,20 @@ class GraphParseError(ValueError):
         self.line = line
 
 
+MAX_VERTICES = 10**6
+"""Largest vertex count a header may declare; ``Graph(n)`` allocates n masks."""
+
+# a longer field exceeds every valid count (m <= C(n, 2) < n * n), and
+# int() refuses a field of more than 4300 digits with a plain ValueError
+_MAX_DIGITS = len(str(MAX_VERTICES**2))
+
+
 def _digits(fields: list[str]) -> bool:
-    """Whether every field is ASCII digits: int() alone also takes ３, 1_0 and +1."""
-    return all(re.fullmatch("[0-9]+", f) for f in fields)
+    """Whether every field is at most _MAX_DIGITS ASCII digits.
+
+    int() alone also takes ３, 1_0 and +1.
+    """
+    return all(len(f) <= _MAX_DIGITS and re.fullmatch("[0-9]+", f) for f in fields)
 
 
 def read_graph(data: bytes | str) -> Graph:
@@ -43,6 +55,8 @@ def read_graph(data: bytes | str) -> Graph:
             if len(parts) != 4 or parts[1] != "edge" or not _digits(parts[2:]):
                 raise GraphParseError(lineno, f"malformed header {line!r}")
             n, declared_m = int(parts[2]), int(parts[3])
+            if n > MAX_VERTICES:
+                raise GraphParseError(lineno, f"{n} vertices exceed the limit {MAX_VERTICES}")
             header = lineno
         elif parts[0] == "e":
             if n is None:

@@ -16,11 +16,13 @@ reproducible and reruns are byte-identical.
 from __future__ import annotations
 
 import re
+import threading
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, log
+from math import ceil, comb, log
 
 from .engine import EngineConfig, run_greedy
 from .exact import OracleTimeout, exact_mis
@@ -207,13 +209,37 @@ def _counter_worker(args):
     return out
 
 
+_pool: tuple[int, ProcessPoolExecutor] | None = None  # (workers, pool), kept for the process
+_pool_lock = threading.Lock()  # held across get-or-replace and the whole map
+
+
 def _map_runs(worker, argslist, jobs: int):
+    """``[worker(a) for a in argslist]``, on ``min(jobs, len(argslist))`` processes.
+
+    The process pool is started at the first call that needs more than one
+    worker and kept for the life of the process, so later calls skip the
+    start-up.  A call with a different worker count shuts it down and starts
+    a new one; a broken pool is dropped, so the next call starts afresh.
+    ``concurrent.futures`` reaps the workers at interpreter exit.  Workers
+    see module state as of the pool's start: a monkeypatch made later
+    reaches serial runs only.  Results keep run order at any ``jobs``.
+    """
+    global _pool
     jobs = min(jobs, len(argslist))  # the pool starts every worker up front
     if jobs <= 1:
         return [worker(a) for a in argslist]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(argslist) // (jobs * 8))
-        return list(pool.map(worker, argslist, chunksize=chunk))
+    chunk = ceil(len(argslist) / (4 * jobs))  # four chunks per worker balance a heavy tail
+    with _pool_lock:
+        if _pool is not None and _pool[0] != jobs:
+            _pool[1].shutdown(wait=True)
+            _pool = None
+        if _pool is None:
+            _pool = jobs, ProcessPoolExecutor(max_workers=jobs)
+        try:
+            return list(_pool[1].map(worker, argslist, chunksize=chunk))
+        except BrokenProcessPool:
+            _pool = None
+            raise
 
 
 def _cell_results(cfg: ExperimentConfig, worker, jobs: int, *extra):

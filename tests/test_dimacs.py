@@ -3,6 +3,7 @@
 import pytest
 
 from greedymis import Graph, GraphParseError, random_gnm, read_graph, write_graph
+from greedymis.dimacs import MAX_VERTICES
 
 
 class TestRead:
@@ -41,6 +42,11 @@ class TestRead:
             ("p edge 3 +1\n", 1),  # signed count
             ("p edge 3 1\ne 1 ２\n", 2),  # fullwidth digit in an endpoint
             ("p edge -3 0\n", 1),  # negative count
+            ("p edge 99999999999999999999 0\n", 1),  # too many vertices for a list
+            pytest.param(  # past int()'s digit limit; named, since the body is 4400 digits
+                "p edge 3 1\ne 1 " + "2" * 4400 + "\n", 2, id="4400-digit endpoint-2"
+            ),
+            (f"p edge {MAX_VERTICES + 1} 0\n", 1),  # one vertex over the bound
         ],
     )
     def test_errors_carry_line_number(self, body, lineno):

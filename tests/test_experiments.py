@@ -1,9 +1,14 @@
 """Experiment harness: formula, seeding, runners, CSV/plot emission."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import threading
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from math import comb, log
+from pathlib import Path
 
 import pytest
 
@@ -278,26 +283,34 @@ class TestWorkloadExperiment:
             emit_plot(report)
 
 
+def _exit_worker(_):
+    os._exit(1)  # a worker process that dies mid-task breaks the pool
+
+
 class TestMapRuns:
     @pytest.fixture
-    def pools(self, monkeypatch):
+    def shutdowns(self):
+        return []
+
+    @pytest.fixture
+    def pools(self, monkeypatch, shutdowns):
         """Record each pool's max_workers; map in-process, start no worker."""
         made = []
 
         class InProcessPool:
             def __init__(self, max_workers):
                 made.append(max_workers)
+                self.max_workers = max_workers
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
+            def shutdown(self, wait=True):
+                shutdowns.append((self.max_workers, wait))
 
             def map(self, fn, iterable, chunksize=1):
                 return map(fn, iterable)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        # the kept pool would bypass the fake; the real one is restored afterwards
+        monkeypatch.setattr(experiments, "_pool", None)
         return made
 
     def test_workers_capped_at_run_count(self, pools):
@@ -311,6 +324,71 @@ class TestMapRuns:
         serial = emit_csv(run_workload_experiment(cfg))
         assert emit_csv(run_workload_experiment(cfg, jobs=64)) == serial
         assert pools == [2]
+
+    def test_experiments_at_one_width_share_one_pool(self, pools, shutdowns):
+        cfg = ExperimentConfig((10,), (9, 22), parse_algorithms("a1"), 3, 1)
+        serial = emit_csv(run_workload_experiment(cfg))
+        assert emit_csv(run_workload_experiment(cfg, jobs=2)) == serial
+        assert emit_csv(run_workload_experiment(cfg, jobs=2)) == serial
+        assert pools == [2]
+        assert shutdowns == []
+
+    def test_width_change_replaces_the_pool(self, pools, shutdowns):
+        assert experiments._map_runs(abs, [-1, -2, -3], 2) == [1, 2, 3]
+        assert experiments._map_runs(abs, [-1, -2, -3], 3) == [1, 2, 3]
+        assert experiments._map_runs(abs, [-4], 3) == [4]  # serial: no pool touched
+        assert pools == [2, 3]
+        assert shutdowns == [(2, True)]
+
+    def test_broken_pool_is_replaced(self):
+        with pytest.raises(BrokenProcessPool):
+            experiments._map_runs(_exit_worker, [1, 2, 3, 4], 2)
+        assert experiments._map_runs(abs, [-1, -2, -3], 2) == [1, 2, 3]
+
+    def test_threads_at_mixed_widths_match_serial(self):
+        cfg = ExperimentConfig((12,), "4n", parse_algorithms("a1,b1"), 8, 5)
+        serial = emit_csv(run_failure_experiment(cfg))
+        out, errors = [], []
+
+        def run(jobs):
+            try:
+                out.append(emit_csv(run_failure_experiment(cfg, jobs=jobs)))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(j,)) for j in (2, 3, 2, 3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert out == [serial] * 4
+
+    def test_workers_are_reaped_at_exit(self):
+        script = (
+            "import multiprocessing\n"
+            "import greedymis as gm\n"
+            "cfg = gm.ExperimentConfig((10,), '4n', gm.parse_algorithms('a1'), 4, 1)\n"
+            "gm.run_failure_experiment(cfg, jobs=2)\n"
+            "print(*[p.pid for p in multiprocessing.active_children()])\n"
+        )
+        src = str(Path(experiments.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        pids = [int(p) for p in proc.stdout.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class TestEmission:

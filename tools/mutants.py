@@ -140,6 +140,17 @@ MUTANTS = (
            "    jobs = min(jobs, len(argslist))",
            "    pass",
            ("test_experiments.py",)),
+    Mutant("pool-reused-at-any-width", "experiments.py",
+           "        if _pool is not None and _pool[0] != jobs:\n",
+           "        if False:\n",
+           ("test_experiments.py",)),
+    Mutant("broken-pool-kept", "experiments.py",
+           "        except BrokenProcessPool:\n"
+           "            _pool = None\n",
+           "        except BrokenProcessPool:\n",
+           ("test_experiments.py",)),
+    # dropped: removing `_pool_lock` makes threads race only on some
+    # schedules, so no test can kill it every time.
     Mutant("repeated-algorithm-accepted", "experiments.py",
            "        if len(set(names)) != len(names):\n",
            "        if False:\n",
