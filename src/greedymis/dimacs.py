@@ -81,7 +81,13 @@ def read_graph(data: bytes | str) -> Graph:
 
 
 def write_graph(g: Graph) -> bytes:
-    """Serialize a Graph; ``read_graph(write_graph(g)) == g``."""
+    """Serialize a Graph; ``read_graph(write_graph(g)) == g``.
+
+    A graph of more than ``MAX_VERTICES`` vertices raises ``ValueError``,
+    since ``read_graph`` would refuse the file.
+    """
+    if g.n > MAX_VERTICES:
+        raise ValueError(f"{g.n} vertices exceed the limit {MAX_VERTICES}")
     lines = [f"p edge {g.n} {g.m}"]
     lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges)
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -15,6 +15,7 @@ reproducible and reruns are byte-identical.
 
 from __future__ import annotations
 
+import os
 import re
 import threading
 from collections import Counter
@@ -213,33 +214,54 @@ _pool: tuple[int, ProcessPoolExecutor] | None = None  # (workers, pool), kept fo
 _pool_lock = threading.Lock()  # held across get-or-replace and the whole map
 
 
+def _forget_pool() -> None:
+    """In a forked child: the inherited pool has no manager thread, the lock may be held."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # absent where there is no fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _kept_pool(jobs: int) -> ProcessPoolExecutor:
+    """The kept pool at ``jobs`` workers, started or replaced as needed; hold the lock."""
+    global _pool
+    if _pool is not None and _pool[0] != jobs:
+        _pool[1].shutdown(wait=True)
+        _pool = None
+    if _pool is None:
+        _pool = jobs, ProcessPoolExecutor(max_workers=jobs)
+    return _pool[1]
+
+
 def _map_runs(worker, argslist, jobs: int):
     """``[worker(a) for a in argslist]``, on ``min(jobs, len(argslist))`` processes.
 
     The process pool is started at the first call that needs more than one
-    worker and kept for the life of the process, so later calls skip the
-    start-up.  A call with a different worker count shuts it down and starts
-    a new one; a broken pool is dropped, so the next call starts afresh.
-    ``concurrent.futures`` reaps the workers at interpreter exit.  Workers
-    see module state as of the pool's start: a monkeypatch made later
-    reaches serial runs only.  Results keep run order at any ``jobs``.
+    worker and kept for the life of the process, so repeated pooled
+    experiments in one process skip its start-up; its idle workers keep
+    their memory meanwhile.  A call with a different worker count shuts it
+    down and starts a new one.  A call during which a worker dies raises
+    ``BrokenProcessPool``; a pool found broken at submit (a worker died
+    since the last call) is replaced and the call goes on.  A forked child
+    starts its own pool.  ``concurrent.futures`` reaps the workers at
+    interpreter exit.  Workers see module state as of the pool's start: a
+    monkeypatch made later reaches serial runs only.  Results keep run
+    order at any ``jobs``.
     """
     global _pool
     jobs = min(jobs, len(argslist))  # the pool starts every worker up front
     if jobs <= 1:
         return [worker(a) for a in argslist]
-    chunk = ceil(len(argslist) / (4 * jobs))  # four chunks per worker balance a heavy tail
+    chunk = ceil(len(argslist) / (8 * jobs))  # at most eight chunks per worker
     with _pool_lock:
-        if _pool is not None and _pool[0] != jobs:
-            _pool[1].shutdown(wait=True)
-            _pool = None
-        if _pool is None:
-            _pool = jobs, ProcessPoolExecutor(max_workers=jobs)
         try:
-            return list(_pool[1].map(worker, argslist, chunksize=chunk))
-        except BrokenProcessPool:
+            results = _kept_pool(jobs).map(worker, argslist, chunksize=chunk)
+        except BrokenProcessPool:  # a worker died since the last call
             _pool = None
-            raise
+            results = _kept_pool(jobs).map(worker, argslist, chunksize=chunk)
+        return list(results)
 
 
 def _cell_results(cfg: ExperimentConfig, worker, jobs: int, *extra):

@@ -8,6 +8,7 @@ import pytest
 
 from greedymis import Graph, cli, exact_mis, random_gnm, write_graph
 from greedymis.cli import main
+from greedymis.dimacs import MAX_VERTICES
 from greedymis.rng import derive_seed
 
 K5 = Graph(5, list(itertools.combinations(range(5), 2)))
@@ -97,6 +98,13 @@ class TestGenerate:
 
     def test_m_too_large(self, capsys):
         assert main(["generate", "--n", "5", "--m", "11", "--seed", "0"]) == 2
+
+    def test_over_the_vertex_bound_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "g.col"
+        n = str(MAX_VERTICES + 1)
+        assert main(["generate", "--n", n, "--m", "0", "--out", str(out)]) == 2
+        assert "exceed the limit" in _single_error_line(capsys)
+        assert not out.exists()
 
     def test_unwritable_out_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "g.col"

@@ -64,6 +64,10 @@ class TestWrite:
         g = Graph(4, [(2, 3), (0, 2), (1, 0)])
         assert write_graph(g) == b"p edge 4 3\ne 1 2\ne 1 3\ne 3 4\n"
 
+    def test_over_the_vertex_bound_is_refused(self):
+        with pytest.raises(ValueError, match="exceed the limit"):
+            write_graph(Graph(MAX_VERTICES + 1))
+
 
 class TestRoundTrip:
     def test_random_graph(self):

@@ -1,10 +1,13 @@
 """Experiment harness: formula, seeding, runners, CSV/plot emission."""
 
 import hashlib
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from math import comb, log
@@ -287,6 +290,15 @@ def _exit_worker(_):
     os._exit(1)  # a worker process that dies mid-task breaks the pool
 
 
+def _python(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this checkout's greedymis."""
+    src = str(Path(experiments.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
 class TestMapRuns:
     @pytest.fixture
     def shutdowns(self):
@@ -370,6 +382,38 @@ class TestMapRuns:
         assert errors == []
         assert out == [serial] * 4
 
+    def test_idle_worker_death_starts_a_new_pool(self):
+        assert experiments._map_runs(abs, [-1, -2], 2) == [1, 2]
+        victim = multiprocessing.active_children()[0].pid
+        os.kill(victim, signal.SIGKILL)
+        # the pool marks itself broken, then reaps its workers
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            try:
+                os.kill(victim, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.01)
+        assert experiments._map_runs(abs, [-3, -4], 2) == [3, 4]
+
+    def test_forked_child_starts_its_own_pool(self):
+        script = (
+            "import os, signal, sys\n"
+            "import greedymis as gm\n"
+            "from greedymis import experiments\n"
+            "cfg = gm.ExperimentConfig((10,), '4n', gm.parse_algorithms('a1'), 4, 1)\n"
+            "first = gm.emit_csv(gm.run_failure_experiment(cfg, jobs=2))\n"
+            "experiments._pool_lock.acquire()  # as if another thread were mid-call\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(20)  # ends a child whose call never returns\n"
+            "    sys.exit(gm.emit_csv(gm.run_failure_experiment(cfg, jobs=2)) != first)\n"
+            "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+        )
+        proc = _python(script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n", proc.stderr
+
     def test_workers_are_reaped_at_exit(self):
         script = (
             "import multiprocessing\n"
@@ -378,11 +422,7 @@ class TestMapRuns:
             "gm.run_failure_experiment(cfg, jobs=2)\n"
             "print(*[p.pid for p in multiprocessing.active_children()])\n"
         )
-        src = str(Path(experiments.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-        )
+        proc = _python(script)
         assert proc.returncode == 0, proc.stderr
         pids = [int(p) for p in proc.stdout.split()]
         assert len(pids) == 2

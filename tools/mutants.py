@@ -141,13 +141,17 @@ MUTANTS = (
            "    pass",
            ("test_experiments.py",)),
     Mutant("pool-reused-at-any-width", "experiments.py",
-           "        if _pool is not None and _pool[0] != jobs:\n",
-           "        if False:\n",
+           "    if _pool is not None and _pool[0] != jobs:\n",
+           "    if False:\n",
            ("test_experiments.py",)),
     Mutant("broken-pool-kept", "experiments.py",
-           "        except BrokenProcessPool:\n"
-           "            _pool = None\n",
-           "        except BrokenProcessPool:\n",
+           "            _pool = None\n"
+           "            results = _kept_pool(jobs)",
+           "            results = _kept_pool(jobs)",
+           ("test_experiments.py",)),
+    Mutant("pool-kept-across-fork", "experiments.py",
+           "    os.register_at_fork(after_in_child=_forget_pool)\n",
+           "    pass\n",
            ("test_experiments.py",)),
     # dropped: removing `_pool_lock` makes threads race only on some
     # schedules, so no test can kill it every time.
