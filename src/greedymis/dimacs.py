@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from .graph import Graph
+from .graph import MAX_VERTICES, Graph
 
 
 class GraphParseError(ValueError):
@@ -21,9 +21,6 @@ class GraphParseError(ValueError):
         super().__init__(f"line {line}: {message}")
         self.line = line
 
-
-MAX_VERTICES = 10**6
-"""Largest vertex count a header may declare; ``Graph(n)`` allocates n masks."""
 
 # a longer field exceeds every valid count (m <= C(n, 2) < n * n), and
 # int() refuses a field of more than 4300 digits with a plain ValueError
@@ -81,13 +78,7 @@ def read_graph(data: bytes | str) -> Graph:
 
 
 def write_graph(g: Graph) -> bytes:
-    """Serialize a Graph; ``read_graph(write_graph(g)) == g``.
-
-    A graph of more than ``MAX_VERTICES`` vertices raises ``ValueError``,
-    since ``read_graph`` would refuse the file.
-    """
-    if g.n > MAX_VERTICES:
-        raise ValueError(f"{g.n} vertices exceed the limit {MAX_VERTICES}")
+    """Serialize a Graph; ``read_graph(write_graph(g)) == g``."""
     lines = [f"p edge {g.n} {g.m}"]
     lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges)
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -8,21 +8,36 @@ bounds every set below it (an independent set meets each clique at most
 once).  The cover has at most |remaining| cliques, so it also makes every
 cut of the weaker |current| + |remaining| bound.  It cuts only subtrees
 without a strictly larger set, so the witness does not depend on it.
-Vertices with at most one remaining neighbor are taken greedily, which is
-always safe for unweighted independence.  A search state is the bitmask
-pair (avail, chosen), and sizes are read from the sets.  States wait on
-an explicit stack, so the depth is not limited by Python's recursion
-limit.  An optional budget caps the search nodes (entries into a search
-state), so a limited search stops at the same point on every machine.
-`brute_force_mis` scans every subset and exists to validate the control
-on small inputs.
+Vertices with at most one remaining neighbor are taken greedily, lowest
+first, which is always safe for unweighted independence.  A search state
+is the bitmask pair (avail, chosen), and sizes are read from the sets.
+
+Each state also keeps the degree of every vertex within avail, in a list
+indexed by vertex (a removed vertex reads 0), and the mask ``pending`` of
+the vertices of degree at most 1, so no search node scans avail for
+degrees.  A take of t removes t and its neighbor w, if any, and lowers
+the degree of each neighbor of w; a vertex that falls to 1 or 0 joins
+``pending``.  The branch vertex is the lowest of maximum degree.  The
+exclude child takes over its parent's degrees with the branch vertex
+cleared and its neighbors lowered by one; only the include child counts
+its degrees afresh, in one scan of its avail.
+
+States wait on an explicit stack, so the depth is not limited by Python's
+recursion limit.  The state on top keeps its degrees as a list; one that
+another state is pushed over is packed into a 4-byte array, so a deep
+search holds 4 bytes per vertex and level, and a shallow one packs
+almost nothing.  An optional budget caps the search nodes (entries into a
+search state), so a limited search stops at the same point on every
+machine.  `brute_force_mis` scans every subset and exists to validate the
+control on small inputs.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
-from .graph import Graph, VertexSet, to_vertex_set
+from .graph import Graph, VertexSet, mask_of, to_vertex_set
 
 BRUTE_FORCE_LIMIT = 24
 
@@ -54,33 +69,44 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
     if max_nodes is not None and max_nodes < 1:
         raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
     adj = g.adj
-    closed = [a | (1 << v) for v, a in enumerate(adj)]
+    zeros = [0] * g.n
+    deg = list(map(int.bit_count, adj))
     best_mask = 0
     bound_prunes = 0
     nodes = 1  # search nodes entered so far, the root included
-    stack = [(g.full_mask, 0)]  # states still to search: (avail, chosen)
+    # states still to search: (avail, chosen, deg, pending); deg is a list
+    # on the top entry and an array("I") on every entry below it
+    stack = [(g.full_mask, 0, deg, mask_of(v for v, d in enumerate(deg) if d <= 1))]
+    top_is_list = True
     while stack:
-        avail, chosen = stack.pop()
+        avail, chosen, deg, pending = stack.pop()
+        if top_is_list:
+            top_is_list = False
+        else:
+            deg = deg.tolist()
         while avail:
-            # one scan: take any degree<=1 vertex, else remember the max-degree one
-            take = 0
-            branch_v = -1
-            branch_deg = -1
-            mm = avail
-            while mm:
-                low = mm & -mm
-                mm ^= low
-                v = low.bit_length() - 1
-                d = (adj[v] & avail).bit_count()
-                if d <= 1:
-                    take = low
-                    break
-                if d > branch_deg:
-                    branch_deg = d
-                    branch_v = v
-            if take:
+            if pending:
+                # take the lowest vertex of degree <= 1, drop its neighbor w
+                # if any, and lower the degrees of w's neighbors
+                take = pending & -pending
+                t = take.bit_length() - 1
+                w = adj[t] & avail
+                avail ^= take | w
                 chosen |= take
-                avail &= ~closed[take.bit_length() - 1]
+                pending &= avail
+                deg[t] = 0
+                if w:
+                    u = w.bit_length() - 1
+                    deg[u] = 0
+                    nb = adj[u] & avail
+                    while nb:
+                        x = nb.bit_length() - 1
+                        b = 1 << x
+                        nb ^= b
+                        d = deg[x] - 1
+                        deg[x] = d
+                        if d <= 1:
+                            pending |= b
                 continue
             # cover avail by cliques grown from its lowest vertex; stop once
             # the cover needs more cliques than |best| - |chosen|, as it then
@@ -102,9 +128,42 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
             if nodes == max_nodes:
                 raise OracleTimeout(f"oracle timed out after {max_nodes} search nodes")
             nodes += 1
-            low = 1 << branch_v
-            stack.append((avail ^ low, chosen))
-            avail, chosen = avail & ~closed[branch_v], chosen | low
+            # every degree in avail is >= 2 here and a removed vertex's is
+            # 0, so v is the lowest vertex of maximum degree in avail
+            v = deg.index(max(deg))
+            low = 1 << v
+            avail ^= low
+            nv = adj[v] & avail
+            # exclude child: the parent's degrees, v cleared, N(v) lowered
+            deg[v] = 0
+            nb = nv
+            while nb:
+                x = nb.bit_length() - 1
+                b = 1 << x
+                nb ^= b
+                d = deg[x] - 1
+                deg[x] = d
+                if d <= 1:
+                    pending |= b
+            if top_is_list:  # pack the entry this one is pushed over
+                a, c, d, p = stack[-1]
+                stack[-1] = (a, c, array("I", d), p)
+            stack.append((avail, chosen, deg, pending))
+            top_is_list = True
+            # include child: one fresh scan of its avail
+            avail ^= nv
+            chosen |= low
+            deg = zeros[:]
+            pending = 0
+            nb = avail
+            while nb:
+                x = nb.bit_length() - 1
+                b = 1 << x
+                nb ^= b
+                d = (adj[x] & avail).bit_count()
+                deg[x] = d
+                if d <= 1:
+                    pending |= b
         else:  # avail ran out: a maximal set, not a pruned state
             if chosen.bit_count() > best_mask.bit_count():
                 best_mask = chosen

@@ -20,6 +20,17 @@ class GraphError(ValueError):
     """Invalid graph construction input (bad endpoint, self-loop, bad size)."""
 
 
+MAX_VERTICES = 10**6
+"""Largest vertex count of a Graph; ``Graph(n)`` allocates n masks."""
+
+
+def _check_vertex_count(n: int) -> None:
+    if n < 0:
+        raise GraphError(f"vertex count must be non-negative, got {n}")
+    if n > MAX_VERTICES:
+        raise GraphError(f"{n} vertices exceed the limit {MAX_VERTICES}")
+
+
 def mask_of(vertices: Iterable[int]) -> int:
     """Pack vertex ids into a bitmask."""
     m = 0
@@ -51,8 +62,7 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
-        if n < 0:
-            raise GraphError(f"vertex count must be non-negative, got {n}")
+        _check_vertex_count(n)
         adj = [0] * n
         for u, v in edges:
             if u == v:
@@ -154,7 +164,8 @@ def random_gnm(n: int, m: int, seed: int) -> Graph:
     (Floyd's sampling algorithm over pair ranks), driven by the package
     SplitMix64 stream, so a seed pins the graph exactly.
     """
-    npairs = n * (n - 1) // 2 if n > 0 else 0  # a negative n has no pairs
+    _check_vertex_count(n)  # before sampling, whose work grows with n
+    npairs = n * (n - 1) // 2
     if not 0 <= m <= npairs:
         raise GraphError(f"m={m} out of range for n={n} (max {npairs})")
     rng = SplitMix64(seed)

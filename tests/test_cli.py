@@ -106,6 +106,11 @@ class TestGenerate:
         assert "exceed the limit" in _single_error_line(capsys)
         assert not out.exists()
 
+    def test_huge_vertex_count_is_input_error(self, capsys):
+        # more vertices than a list can hold: refused before any allocation
+        assert main(["generate", "--n", "9" * 20, "--m", "0"]) == 2
+        assert "exceed the limit" in _single_error_line(capsys)
+
     def test_unwritable_out_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "g.col"
         assert main(["generate", "--n", "5", "--m", "3", "--out", str(out)]) == 2
@@ -136,6 +141,16 @@ class TestExperiment:
         first = out.read_bytes()
         assert main(args) == 0
         assert out.read_bytes() == first
+
+    def test_huge_vertex_count_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "a.csv"
+        args = [
+            "experiment", "accuracy", "--n", "9" * 20, "--m", "0",
+            "--algos", "a1", "--runs", "1", "--out", str(out),
+        ]
+        assert main(args) == 2
+        assert "exceed the limit" in _single_error_line(capsys)
+        assert not out.exists()
 
     def test_jobs_flag_identical_output(self, tmp_path):
         outs = []

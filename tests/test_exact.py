@@ -208,3 +208,33 @@ def test_golden_witnesses(n, m, runs):
         g = random_gnm(n, m, seed=derive_seed(10, n, m, r))
         h.update(f"{r}:{','.join(map(str, exact_mis(g).witness))}\n".encode())
     assert h.hexdigest() == GOLDEN_WITNESSES[n, m, runs]
+
+
+# SHA-256 of (r, witness, nodes, bound_prunes) per graph over seeded G(n, m)
+# cells: edgeless, sparse, m = 4n up to n = 80, dense and complete.  The
+# digests were recorded from the search that rescanned avail at every node,
+# before the degrees were kept across takes and branches, so a change to
+# the take order, the branch vertex, the cover or the DFS order fails here
+# even where every witness stays the same.
+GOLDEN_COUNTERS = {
+    (12, 0, 3): "c1da16a6a834d09ffe764688ab320ecf5b39431e91c384e0d39c3bac719e1eab",
+    (12, 66, 3): "fcc28b60e145e4cd8e858136fffb4c138e198a8cedc7d63cca51dcf23f7864cc",
+    (20, 80, 50): "09a2ceccb01bbd4dada61f481fff39cb89b12806dc7a6851cbb45bb516db6135",
+    (25, 300, 20): "3ceb6528ba3b34f258affad657db878180ed90844a5f7682f42d2a1b4e0bf66e",
+    (30, 120, 40): "754f25768d7a6c36b269bda00dec3f3d64d64cb0948c4df32c70316992df0a6b",
+    (30, 217, 20): "d8fd8dd99cdc391adca6c0362e6e71643af72dd0743c229832643e93ee5cb222",
+    (40, 160, 30): "b3e8db29ad38a266ae07c456ac46da02dbd845313becf631caf906781c5ff11e",
+    (60, 90, 12): "ab336abef25787e44c95d52bf8ff810a37735fe3acdba2df17ce7ec01dec6451",
+    (60, 240, 12): "e8f6684230d2d7cd1a27398d0f62ca1f2550b84b74178791bde9ab2c0e4406aa",
+    (80, 320, 6): "5e8da10818f62b6c9b5807dccbdff5bdb6578315139d3ec7d9a297c9ec7e4753",
+}
+
+
+@pytest.mark.parametrize("n, m, runs", sorted(GOLDEN_COUNTERS))
+def test_golden_counters(n, m, runs):
+    h = hashlib.sha256()
+    for r in range(runs):
+        res = exact_mis(random_gnm(n, m, seed=derive_seed(15, n, m, r)))
+        witness = ",".join(map(str, res.witness))
+        h.update(f"{r}:{witness}:{res.nodes}:{res.bound_prunes}\n".encode())
+    assert h.hexdigest() == GOLDEN_COUNTERS[n, m, runs]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greedymis import Graph, GraphError, induced_subgraph, non_neighbors, random_gnm
+from greedymis.graph import MAX_VERTICES
 from greedymis.rng import derive_seed
 
 ALL_PAIRS_5 = list(itertools.combinations(range(5), 2))
@@ -53,6 +54,11 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Graph(-1)
 
+    def test_vertex_bound(self):
+        assert Graph(MAX_VERTICES).n == MAX_VERTICES
+        with pytest.raises(GraphError, match="exceed the limit"):
+            Graph(MAX_VERTICES + 1)
+
     def test_adjacency_symmetric(self):
         g = random_gnm(15, 40, seed=3)
         for u in range(g.n):
@@ -82,6 +88,14 @@ class TestRandomGnm:
     def test_m_too_large_rejected(self):
         with pytest.raises(GraphError):
             random_gnm(5, 11, seed=0)
+
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_over_the_vertex_bound_rejected_before_sampling(self, m):
+        # sampling m pairs of a huge n would first walk n rows of pairs
+        with pytest.raises(GraphError, match="exceed the limit"):
+            random_gnm(MAX_VERTICES + 1, m, seed=0)
+        with pytest.raises(GraphError, match="exceed the limit"):
+            random_gnm(10**20, m, seed=0)
 
     @pytest.mark.parametrize("m", [0, 3])
     def test_negative_n_rejected(self, m):

@@ -101,8 +101,26 @@ MUTANTS = (
            "while rest and spare >= 0:",
            ("test_exact.py",)),
     Mutant("take-degree-two", "exact.py",
+           "                d = (adj[x] & avail).bit_count()\n"
+           "                deg[x] = d\n"
            "                if d <= 1:\n",
+           "                d = (adj[x] & avail).bit_count()\n"
+           "                deg[x] = d\n"
            "                if d <= 2:\n",
+           ("test_exact.py",)),
+    Mutant("take-misses-degree-one", "exact.py",
+           "                        if d <= 1:\n",
+           "                        if d < 1:\n",
+           ("test_exact.py",)),
+    Mutant("exclude-keeps-parent-degrees", "exact.py",
+           "                d = deg[x] - 1\n"
+           "                deg[x] = d\n",
+           "                d = deg[x]\n"
+           "                deg[x] = d\n",
+           ("test_exact.py",)),
+    Mutant("branch-tie-highest-id", "exact.py",
+           "v = deg.index(max(deg))",
+           "v = len(deg) - 1 - deg[::-1].index(max(deg))",
            ("test_exact.py",)),
     # an unlimited search also fails here (None does not compare with >),
     # but the budget tests alone kill the boundary shift
