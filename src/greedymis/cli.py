@@ -178,36 +178,29 @@ def _cmd_experiment(args) -> int:
         runs=args.runs,
         base_seed=args.seed,
     )
-    if args.kind == "failure":
-        report = run_failure_experiment(
-            cfg, jobs=args.jobs, oracle_max_nodes=args.max_nodes
-        )
-        for cell in report.cells:
-            summary = " ".join(
-                f"{name}={cell.failures[name]}/{cell.runs}" for name in report.algorithms
-            )
-            line = f"n={cell.n} m={cell.m} failures: {summary}"
-            if cell.oracle_timeouts:
-                line += f" oracle-timeouts={cell.oracle_timeouts}"
-            print(line)
-    elif args.kind == "accuracy":
-        report = run_accuracy_experiment(
-            cfg, jobs=args.jobs, oracle_max_nodes=args.max_nodes
-        )
-        for cell in report.cells:
-            for name in report.algorithms:
-                hist = " ".join(f"gap{g}={c}" for g, c in sorted(cell.gaps[name].items()))
-                line = f"n={cell.n} m={cell.m} {name}: {hist}"
-                if cell.oracle_timeouts:
-                    line += f" oracle-timeouts={cell.oracle_timeouts}"
-                print(line)
-    else:
+    if args.kind == "workload":
         report = run_workload_experiment(cfg, jobs=args.jobs)
         for cell in report.cells:
             counts = " ".join(
                 f"{name}={cell.adjacency_checks[name]}" for name in report.algorithms
             )
             print(f"n={cell.n} m={cell.m} adjacency_checks: {counts}")
+    else:
+        run = run_failure_experiment if args.kind == "failure" else run_accuracy_experiment
+        report = run(cfg, jobs=args.jobs, oracle_max_nodes=args.max_nodes)
+        for cell in report.cells:
+            timeouts = ""
+            if cell.oracle_timeouts:
+                timeouts = f" oracle-timeouts={cell.oracle_timeouts}"
+            if args.kind == "failure":
+                summary = " ".join(
+                    f"{name}={cell.failures[name]}/{cell.runs}" for name in report.algorithms
+                )
+                print(f"n={cell.n} m={cell.m} failures: {summary}{timeouts}")
+            else:
+                for name in report.algorithms:
+                    hist = " ".join(f"gap{g}={c}" for g, c in sorted(cell.gaps[name].items()))
+                    print(f"n={cell.n} m={cell.m} {name}: {hist}{timeouts}")
     if args.out:
         Path(args.out).write_bytes(emit_csv(report))
         print(f"csv -> {args.out}")
@@ -245,8 +238,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
     sys.exit(main())

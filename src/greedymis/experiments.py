@@ -140,15 +140,13 @@ class AccuracyCell:
 
 
 @dataclass(frozen=True)
-class FailureReport:
-    algorithms: tuple[str, ...]
-    cells: tuple[AccuracyCell, ...]
-
-
-@dataclass(frozen=True)
 class AccuracyReport:
     algorithms: tuple[str, ...]
     cells: tuple[AccuracyCell, ...]
+
+
+class FailureReport(AccuracyReport):
+    """The same paired cells, rendered as failure counts (nonzero gaps)."""
 
 
 @dataclass(frozen=True)
@@ -330,6 +328,7 @@ def run_workload_experiment(
 
 def emit_csv(report: FailureReport | AccuracyReport | WorkloadReport) -> bytes:
     """Render a report as CSV (header row, UTF-8, LF line ends)."""
+    # FailureReport is an AccuracyReport, so its branch must come first
     if isinstance(report, FailureReport):
         lines = ["n,m,runs,algorithm,failures,ratio"]
         for cell in report.cells:

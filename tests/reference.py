@@ -1,11 +1,17 @@
-"""Lockstep reference for the greedy family, written from the paper alone.
+"""Independent references for the greedy family and the exact oracle.
 
-It shares no code with ``greedymis.engine``: seeds are the independent
-k-subsets from ``itertools.combinations``, each set adopts the candidate
-with the largest exact ``greedymis.score`` (ties to the lowest id), each
-round keeps the first copy of a repeated child, and the counters follow
-the README cost model.  It is slow and serves only as a test oracle.
-The file name keeps pytest from collecting it.
+``lockstep_run`` is written from the paper alone and shares no code with
+``greedymis.engine``: seeds are the independent k-subsets from
+``itertools.combinations``, each set adopts the candidate with the
+largest exact ``greedymis.score`` (ties to the lowest id), each round
+keeps the first copy of a repeated child, and the counters follow the
+README cost model.
+
+``clique_alpha`` shares no code with ``greedymis.exact``: it finds the
+independence number as the largest clique of the complement graph.
+
+Both are slow and serve only as test oracles.  The file name keeps
+pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -66,3 +72,32 @@ def lockstep_run(g: Graph, h: Heuristic, k: int) -> LockstepRun | None:
             return LockstepRun(c, min(gen), sizes, evals, checks)
         gen = children
         sizes.append(len(gen))
+
+
+def clique_alpha(g: Graph) -> int:
+    """Independence number of ``g``: the largest clique of its complement.
+
+    Bron & Kerbosch (1973) with the pivot of Tomita, Tanaka & Takahashi
+    (2006): the vertex of P | X with the most non-neighbours in P.  Sets
+    are Python sets of non-neighbours, and a branch is cut only when
+    ``|R| + |P|`` cannot beat the best clique so far.
+    """
+    non = [{u for u in range(g.n) if u != v and not g.adjacent(u, v)}
+           for v in range(g.n)]
+    best = 0
+
+    def expand(size: int, p: set[int], x: set[int]) -> None:
+        nonlocal best
+        if not p:
+            best = max(best, size)
+            return
+        if size + len(p) <= best:
+            return
+        pivot = max(p | x, key=lambda u: len(p & non[u]))
+        for v in sorted(p - non[pivot]):
+            expand(size + 1, p & non[v], x & non[v])
+            p.remove(v)
+            x.add(v)
+
+    expand(0, set(range(g.n)), set())
+    return best

@@ -2,8 +2,8 @@
 
 Each criterion prints a single PASS/FAIL line (run with ``pytest -s -v``
 to see them live).  The statistical criteria are seed-pinned and run at
-desk scale; the full module took 19.5-19.8 s of wall time on a 2-core
-Xeon with Python 3.11.7, most of it the setup of criterion 2.
+desk scale; the full module took 19.3-21.7 s of wall time on a 2-core
+Xeon with Python 3.11.7, 12 s of it the setup of criterion 2.
 """
 
 import itertools

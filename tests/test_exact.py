@@ -14,6 +14,7 @@ from greedymis import (
     random_gnm,
 )
 from greedymis.rng import SplitMix64, derive_seed
+from reference import clique_alpha
 
 PETERSEN = Graph(
     10,
@@ -180,6 +181,15 @@ class TestAgreement:
                 [p for p in itertools.combinations(range(n), 2) if not g.adjacent(*p)],
             )
             assert exact_mis(g).alpha == max_clique_size(complement)
+
+    def test_exact_matches_the_clique_reference_above_brute_force(self):
+        # 45 graphs, n = 25..45 at m = n, 4n and C(n,2)/2, against a search
+        # that shares no code with exact_mis; alpha only, not the witness
+        for n in (25, 30, 35, 40, 45):
+            for m in (n, 4 * n, n * (n - 1) // 4):
+                for r in range(3):
+                    g = random_gnm(n, m, seed=derive_seed(25, n, m, r))
+                    assert exact_mis(g).alpha == clique_alpha(g), (n, m, r)
 
 
 # SHA-256 of exact_mis witnesses over seeded G(n, m) cells, n beyond the

@@ -154,6 +154,10 @@ MUTANTS = (
            "run_greedy(g, a, target=oracle.witness)",
            "run_greedy(g, a, target=tuple(range(g.n)))",
            ("test_experiments.py",)),
+    Mutant("failure-report-rendered-as-accuracy", "experiments.py",
+           "    if isinstance(report, FailureReport):\n",
+           "    if type(report) is AccuracyReport:\n",
+           ("test_experiments.py",)),
     Mutant("jobs-cap-removed", "experiments.py",
            "    jobs = min(jobs, len(argslist))",
            "    pass",
