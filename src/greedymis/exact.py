@@ -14,27 +14,24 @@ is the bitmask pair (avail, chosen), and sizes are read from the sets.
 
 Each state also keeps the degree of every vertex within avail, in a list
 indexed by vertex (a removed vertex reads 0), and the mask ``pending`` of
-the vertices of degree at most 1, so no search node scans avail for
-degrees.  A take of t removes t and its neighbor w, if any, and lowers
-the degree of each neighbor of w; a vertex that falls to 1 or 0 joins
-``pending``.  The branch vertex is the lowest of maximum degree.  The
-exclude child takes over its parent's degrees with the branch vertex
-cleared and its neighbors lowered by one; only the include child counts
-its degrees afresh, in one scan of its avail.
+the vertices of degree at most 1, so takes and the branch choice never
+scan avail for degrees.  A take of t removes t and its neighbor w, if
+any, and lowers the degree of each neighbor of w; a vertex that falls to
+1 or 0 joins ``pending``.  The branch vertex is the lowest of maximum
+degree.  The exclude child takes over its parent's degrees with the
+branch vertex cleared and its neighbors lowered by one; only the include
+child counts its degrees afresh, in one scan of its avail.
 
 States wait on an explicit stack, so the depth is not limited by Python's
-recursion limit.  The state on top keeps its degrees as a list; one that
-another state is pushed over is packed into a 4-byte array, so a deep
-search holds 4 bytes per vertex and level, and a shallow one packs
-almost nothing.  An optional budget caps the search nodes (entries into a
-search state), so a limited search stops at the same point on every
-machine.  `brute_force_mis` scans every subset and exists to validate the
-control on small inputs.
+recursion limit.  A stacked state holds one n-entry degree list, 8 bytes
+per vertex and level.  An optional budget caps the search nodes (entries
+into a search state), so a limited search stops at the same point on
+every machine.  `brute_force_mis` scans every subset and exists to
+validate the control on small inputs.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 
 from .graph import Graph, VertexSet, mask_of, to_vertex_set
@@ -74,16 +71,10 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
     best_mask = 0
     bound_prunes = 0
     nodes = 1  # search nodes entered so far, the root included
-    # states still to search: (avail, chosen, deg, pending); deg is a list
-    # on the top entry and an array("I") on every entry below it
+    # states still to search: (avail, chosen, deg, pending)
     stack = [(g.full_mask, 0, deg, mask_of(v for v, d in enumerate(deg) if d <= 1))]
-    top_is_list = True
     while stack:
         avail, chosen, deg, pending = stack.pop()
-        if top_is_list:
-            top_is_list = False
-        else:
-            deg = deg.tolist()
         while avail:
             if pending:
                 # take the lowest vertex of degree <= 1, drop its neighbor w
@@ -145,11 +136,7 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
                 deg[x] = d
                 if d <= 1:
                     pending |= b
-            if top_is_list:  # pack the entry this one is pushed over
-                a, c, d, p = stack[-1]
-                stack[-1] = (a, c, array("I", d), p)
             stack.append((avail, chosen, deg, pending))
-            top_is_list = True
             # include child: one fresh scan of its avail
             avail ^= nv
             chosen |= low

@@ -27,7 +27,7 @@ from math import ceil, comb, log
 
 from .engine import EngineConfig, run_greedy
 from .exact import OracleTimeout, exact_mis
-from .graph import random_gnm
+from .graph import MAX_VERTICES, random_gnm
 from .heuristics import Heuristic
 from .rng import derive_seed
 
@@ -38,9 +38,12 @@ def tau_edgeless(n: int, k: int) -> int:
     This is the total candidate-evaluation workload of the greedy family
     on an edgeless graph of order n with initial cardinality k.  Exact
     big-integer arithmetic; values overflow 64 bits well below n = 1000.
+    n is at most ``MAX_VERTICES``, the largest order of a Graph.
     """
     if n < 1 or k < 1:
         raise ValueError(f"n and k must be >= 1, got n={n}, k={k}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"n={n} exceeds the graph limit {MAX_VERTICES}")
     return (k + 1) * sum(comb(i, k) * comb(i, k + 1) for i in range(k, n + 1))
 
 

@@ -1,12 +1,13 @@
 """Command-line interface: subcommands, exit codes, deterministic outputs."""
 
 import itertools
+import os
 import shlex
 from pathlib import Path
 
 import pytest
 
-from greedymis import Graph, cli, exact_mis, random_gnm, write_graph
+from greedymis import Graph, cli, exact_mis, experiments, random_gnm, write_graph
 from greedymis.cli import main
 from greedymis.dimacs import MAX_VERTICES
 from greedymis.rng import derive_seed
@@ -126,6 +127,10 @@ class TestFormula:
         assert main(["formula", "--n", "10", "--k", "10"]) == 0
         assert capsys.readouterr().out == "tau=0 log=undefined\n"
 
+    def test_n_above_the_graph_limit_is_input_error(self, capsys):
+        assert main(["formula", "--n", "1000000000", "--k", "1"]) == 2
+        assert "exceeds the graph limit" in _single_error_line(capsys)
+
 
 class TestExperiment:
     def test_failure_csv(self, tmp_path, capsys):
@@ -151,6 +156,22 @@ class TestExperiment:
         assert main(args) == 2
         assert "exceed the limit" in _single_error_line(capsys)
         assert not out.exists()
+
+    def test_jobs_capped_at_cpu_count(self, monkeypatch, capsys):
+        widths = []
+
+        def serial_map_runs(worker, argslist, jobs):
+            widths.append(jobs)
+            return [worker(a) for a in argslist]
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(experiments, "_map_runs", serial_map_runs)
+        args = [
+            "experiment", "failure", "--n", "10", "--m", "4n", "--algos", "a1",
+            "--runs", "8", "--jobs", "64",
+        ]
+        assert main(args) == 0
+        assert widths == [2]
 
     def test_jobs_flag_identical_output(self, tmp_path):
         outs = []

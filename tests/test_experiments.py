@@ -36,6 +36,7 @@ from greedymis import (
 )
 from greedymis import experiments
 from greedymis.experiments import AccuracyCell, WorkloadCell
+from greedymis.graph import MAX_VERTICES
 from greedymis.rng import derive_seed
 
 
@@ -68,6 +69,8 @@ class TestTauEdgeless:
             tau_edgeless(0, 1)
         with pytest.raises(ValueError):
             tau_edgeless(5, 0)
+        with pytest.raises(ValueError, match="graph limit"):
+            tau_edgeless(MAX_VERTICES + 1, 1)
 
 
 class TestSeedDerivation:

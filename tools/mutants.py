@@ -118,6 +118,10 @@ MUTANTS = (
            "                d = deg[x]\n"
            "                deg[x] = d\n",
            ("test_exact.py",)),
+    Mutant("include-degrees-share-zeros", "exact.py",
+           "            deg = zeros[:]\n",
+           "            deg = zeros\n",
+           ("test_exact.py",)),
     Mutant("branch-tie-highest-id", "exact.py",
            "v = deg.index(max(deg))",
            "v = len(deg) - 1 - deg[::-1].index(max(deg))",
