@@ -12,7 +12,6 @@ output files on any machine.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from pathlib import Path
@@ -179,9 +178,8 @@ def _cmd_experiment(args) -> int:
         runs=args.runs,
         base_seed=args.seed,
     )
-    jobs = min(args.jobs, os.cpu_count() or 1)  # a pool starts every worker up front
     if args.kind == "workload":
-        report = run_workload_experiment(cfg, jobs=jobs)
+        report = run_workload_experiment(cfg, jobs=args.jobs)
         for cell in report.cells:
             counts = " ".join(
                 f"{name}={cell.adjacency_checks[name]}" for name in report.algorithms
@@ -189,7 +187,7 @@ def _cmd_experiment(args) -> int:
             print(f"n={cell.n} m={cell.m} adjacency_checks: {counts}")
     else:
         run = run_failure_experiment if args.kind == "failure" else run_accuracy_experiment
-        report = run(cfg, jobs=jobs, oracle_max_nodes=args.max_nodes)
+        report = run(cfg, jobs=args.jobs, oracle_max_nodes=args.max_nodes)
         for cell in report.cells:
             timeouts = ""
             if cell.oracle_timeouts:

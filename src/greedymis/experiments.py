@@ -15,12 +15,11 @@ reproducible and reruns are byte-identical.
 
 from __future__ import annotations
 
+import atexit
 import os
 import re
 import threading
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, log
@@ -211,6 +210,9 @@ def _counter_worker(args):
     return out
 
 
+# bound at the first pooled call: importing it loads multiprocessing, which
+# ``import greedymis`` and serial runs never need
+ProcessPoolExecutor = None
 _pool: tuple[int, ProcessPoolExecutor] | None = None  # (workers, pool), kept for the process
 _pool_lock = threading.Lock()  # held across get-or-replace and the whole map
 
@@ -225,6 +227,14 @@ if hasattr(os, "register_at_fork"):  # absent where there is no fork
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+@atexit.register
+def _drop_pool() -> None:
+    """At exit, drop the kept pool while ``concurrent.futures`` can still
+    collect it: imported after this module, it is torn down first."""
+    global _pool
+    _pool = None
+
+
 def _kept_pool(jobs: int) -> ProcessPoolExecutor:
     """The kept pool at ``jobs`` workers, started or replaced as needed; hold the lock."""
     global _pool
@@ -237,10 +247,12 @@ def _kept_pool(jobs: int) -> ProcessPoolExecutor:
 
 
 def _map_runs(worker, argslist, jobs: int):
-    """``[worker(a) for a in argslist]``, on ``min(jobs, len(argslist))`` processes.
+    """``[worker(a) for a in argslist]``, on at most ``jobs`` processes.
 
-    The process pool is started at the first call that needs more than one
-    worker and kept for the life of the process, so repeated pooled
+    The worker count is capped at the run count and at ``os.cpu_count()``.
+    A call left with one worker runs in-process and imports no process
+    machinery.  The process pool is started at the first call that needs
+    more than one worker and kept for the life of the process, so repeated pooled
     experiments in one process skip its start-up; its idle workers keep
     their memory meanwhile.  A call with a different worker count shuts it
     down and starts a new one.  A call during which a worker dies raises
@@ -251,15 +263,19 @@ def _map_runs(worker, argslist, jobs: int):
     monkeypatch made later reaches serial runs only.  Results keep run
     order at any ``jobs``.
     """
-    global _pool
-    jobs = min(jobs, len(argslist))  # the pool starts every worker up front
+    global _pool, ProcessPoolExecutor
+    jobs = min(jobs, len(argslist), os.cpu_count() or 1)  # the pool starts all up front
     if jobs <= 1:
         return [worker(a) for a in argslist]
+    from concurrent.futures import process
+
+    if ProcessPoolExecutor is None:
+        ProcessPoolExecutor = process.ProcessPoolExecutor
     chunk = ceil(len(argslist) / (8 * jobs))  # at most eight chunks per worker
     with _pool_lock:
         try:
             results = _kept_pool(jobs).map(worker, argslist, chunksize=chunk)
-        except BrokenProcessPool:  # a worker died since the last call
+        except process.BrokenProcessPool:  # a worker died since the last call
             _pool = None
             results = _kept_pool(jobs).map(worker, argslist, chunksize=chunk)
         return list(results)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from greedymis import Graph, cli, exact_mis, experiments, random_gnm, write_graph
+from greedymis import Graph, cli, exact_mis, random_gnm, write_graph
 from greedymis.cli import main
 from greedymis.dimacs import MAX_VERTICES
 from greedymis.rng import derive_seed
@@ -157,21 +157,14 @@ class TestExperiment:
         assert "exceed the limit" in _single_error_line(capsys)
         assert not out.exists()
 
-    def test_jobs_capped_at_cpu_count(self, monkeypatch, capsys):
-        widths = []
-
-        def serial_map_runs(worker, argslist, jobs):
-            widths.append(jobs)
-            return [worker(a) for a in argslist]
-
+    def test_jobs_capped_at_cpu_count(self, monkeypatch, pools):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(experiments, "_map_runs", serial_map_runs)
         args = [
             "experiment", "failure", "--n", "10", "--m", "4n", "--algos", "a1",
             "--runs", "8", "--jobs", "64",
         ]
         assert main(args) == 0
-        assert widths == [2]
+        assert pools == [2]
 
     def test_jobs_flag_identical_output(self, tmp_path):
         outs = []

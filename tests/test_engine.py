@@ -1,5 +1,6 @@
 """Greedy engine: seeding, lockstep growth, instrumentation, invariants."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from greedymis import (
     EngineConfig,
+    Generation,
     Graph,
     Heuristic,
     NoSeedSetsError,
@@ -20,9 +22,9 @@ from greedymis import (
     random_gnm,
     run_greedy,
 )
-from greedymis.engine import MAX_SEEDS
+from greedymis.engine import MAX_SEEDS, _delta_widths
 from greedymis.heuristics import score
-from greedymis.rng import SplitMix64
+from greedymis.rng import SplitMix64, derive_seed
 from reference import lockstep_run
 
 C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
@@ -462,3 +464,71 @@ class TestSeedLimit:
         with pytest.raises(SeedLimitError):
             initial_generation(Graph(1415), 2)
         assert len(initial_generation(Graph(1000), 1).sets) == 1000
+
+
+B = Heuristic.B
+SPARSE = ((30, 30), (30, 60), (40, 40), (40, 80))  # m <= 2n
+
+
+class TestDeltaKeys:
+    """Heuristic b's keys taken as deltas from the pool's induced degrees."""
+
+    def test_rule_takes_sparse_pools_only(self):
+        assert _delta_widths(40, 2 * 40) == (8, 40)
+        lo, hi = _delta_widths(40, 2 * 130)
+        assert 8 == lo < hi < 40
+        assert _delta_widths(40, 0) == (8, 40)  # edgeless
+        # dense graphs, and m = 4n up to n = 30: no width qualifies
+        for n, m in ((40, 390), (40, 780), (20, 80), (30, 120)):
+            assert _delta_widths(n, 2 * m) == (n + 1, 0), (n, m)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_chains_agree_with_public_score(self, k):
+        # follow chains from a few seeds, checking every choice against the
+        # exact-rational reference; count the steps the delta keyed
+        delta_steps = 0
+        for n, m in SPARSE:
+            g = random_gnm(n, m, seed=derive_seed(19, n, m, k))
+            lo, hi = _delta_widths(n, 2 * m)
+            seeds = initial_generation(g, k).sets
+            for s in seeds[:: len(seeds) // 3][:3]:
+                while pool := non_neighbors(g, s):
+                    delta_steps += lo <= len(pool) <= hi
+                    out = expand_generation(g, Generation((s,), len(s)), B, RunStats())
+                    best_v = -max((score(g, s, v, B), -v) for v in pool)[1]
+                    assert out.sets == (tuple(sorted(s + (best_v,))),), (n, m, s)
+                    s = out.sets[0]
+        assert delta_steps >= 60, delta_steps
+
+
+# SHA-256 of (r, witness, generation_sizes, heuristic_evals, adjacency_checks)
+# per full heuristic-b run over seeded n = 40 cells: sparse ones, where the
+# engine takes most keys by delta from the pool degrees, and dense ones,
+# where it recounts U'.  The digests were recorded from the engine that
+# recounted U' for every candidate, so a delta that moves a single choice
+# fails here.
+GOLDEN_B_RUNS = {
+    (1, 40, 40, 3): "381069af6711b69927bf9155925bbd75df946d58062dda06c940cf83fbedd4e2",
+    (1, 40, 65, 3): "95367d32a6ec3c0be0fcfcb31448bd42cef399e9e29fce10f7a516b9466d18b0",
+    (1, 40, 80, 3): "67df49e2542c1020ef35d5d0547eb016a77555aa4708a59a94f8b68a9a4c4b8a",
+    (1, 40, 130, 3): "1be82884440340e91fa4db8219a246d19383f8f763c77ceedef0ed45fd02084f",
+    (1, 40, 195, 3): "2b2626aae7d6fb197c9a7d86d1ec868c426c287ee3bc4ae734e0725fd454b1a2",
+    (1, 40, 390, 3): "70532544c0ec603d07691b741693b40b32a43f8caefc329d68beff369b6c8585",
+    (1, 40, 650, 3): "f7189b6252da613877420cfbeb778ebea662b6f014931dd7393d3ca26ed83002",
+    (2, 40, 80, 1): "4483e4d337a1bf213fcc082f0d32671ccb2d3d3321018057c7f3885df6468f56",
+    (2, 40, 390, 2): "e8674e5f208160563e45e526184ad9ecc3fa133b3842818b6367589ed66702f7",
+    (2, 40, 650, 2): "9e8ce69bcff47290be960cad1beef09c06519d3c0fae21071d9cbb5a9c787e89",
+}
+
+
+@pytest.mark.parametrize("k, n, m, runs", sorted(GOLDEN_B_RUNS))
+def test_golden_b_runs(k, n, m, runs):
+    h = hashlib.sha256()
+    for r in range(runs):
+        res = run_greedy(random_gnm(n, m, seed=derive_seed(19, n, m, r)), EngineConfig(B, k))
+        s = res.stats
+        h.update(
+            f"{r}:{','.join(map(str, res.witness))}:{','.join(map(str, s.generation_sizes))}"
+            f":{s.heuristic_evals}:{s.adjacency_checks}\n".encode()
+        )
+    assert h.hexdigest() == GOLDEN_B_RUNS[k, n, m, runs]

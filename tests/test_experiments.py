@@ -303,35 +303,24 @@ def _python(script: str) -> subprocess.CompletedProcess:
 
 
 class TestMapRuns:
-    @pytest.fixture
-    def shutdowns(self):
-        return []
-
-    @pytest.fixture
-    def pools(self, monkeypatch, shutdowns):
-        """Record each pool's max_workers; map in-process, start no worker."""
-        made = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                made.append(max_workers)
-                self.max_workers = max_workers
-
-            def shutdown(self, wait=True):
-                shutdowns.append((self.max_workers, wait))
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
-        # the kept pool would bypass the fake; the real one is restored afterwards
-        monkeypatch.setattr(experiments, "_pool", None)
-        return made
+    @pytest.fixture(autouse=True)
+    def cpus(self, monkeypatch):
+        """Four CPUs, so that the widths below pass the CPU cap on any runner."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
 
     def test_workers_capped_at_run_count(self, pools):
         assert experiments._map_runs(abs, [-1, -2], 64) == [1, 2]
         assert experiments._map_runs(abs, [-3], 64) == [3]  # serial
         assert experiments._map_runs(abs, [], 64) == []
+        assert pools == [2]
+
+    def test_workers_capped_at_cpu_count(self, pools, monkeypatch):
+        cfg = ExperimentConfig((10,), "4n", parse_algorithms("a1"), 8, 1)
+        serial = emit_csv(run_failure_experiment(cfg))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert emit_csv(run_failure_experiment(cfg, jobs=5000)) == serial
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: run serially
+        assert emit_csv(run_failure_experiment(cfg, jobs=5000)) == serial
         assert pools == [2]
 
     def test_runner_with_few_runs_and_many_jobs(self, pools):
@@ -416,6 +405,21 @@ class TestMapRuns:
         proc = _python(script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "0\n", proc.stderr
+
+    def test_serial_runs_never_load_the_pool(self):
+        script = (
+            "import sys\n"
+            "import greedymis\n"
+            "print('concurrent.futures.process' in sys.modules)\n"
+            "from greedymis.cli import main\n"
+            "main(['experiment', 'failure', '--n', '10', '--m', '4n', '--algos', 'a1',\n"
+            "      '--runs', '4', '--jobs', '1'])\n"
+            "print('concurrent.futures.process' in sys.modules, 'multiprocessing' in sys.modules)\n"
+        )
+        proc = _python(script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == "False"
+        assert proc.stdout.splitlines()[-1] == "False False"
 
     def test_workers_are_reaped_at_exit(self):
         script = (

@@ -80,12 +80,24 @@ MUTANTS = (
            "~a",
            ("test_engine.py",)),
     Mutant("b-weights", "engine.py",
-           "weights = tuple(den // (d + 1) ",
-           "weights = tuple(den // (d + 2) ",
+           "den, tuple(den // (d + 1) ",
+           "den, tuple(den // (d + 2) ",
            ("test_engine.py",)),
     Mutant("seed-filter-skipped", "engine.py",
            "            if blocked >> v & 1:\n",
            "            if False:\n",
+           ("test_engine.py",)),
+    Mutant("delta-corrections-dropped", "engine.py",
+           "                    while near:\n",
+           "                    while False:\n",
+           ("test_engine.py",)),
+    Mutant("delta-corrections-unlowered", "engine.py",
+           "weights[dp[x] - (adj[x] & gone).bit_count()]",
+           "weights[dp[x]]",
+           ("test_engine.py",)),
+    Mutant("delta-keeps-candidate-weight", "engine.py",
+           "                    m2 = gone\n",
+           "                    m2 = gone ^ low\n",
            ("test_engine.py",)),
     Mutant("target-stop-late", "engine.py",
            "            if c >= stop:\n",
@@ -163,8 +175,16 @@ MUTANTS = (
            "    if type(report) is AccuracyReport:\n",
            ("test_experiments.py",)),
     Mutant("jobs-cap-removed", "experiments.py",
-           "    jobs = min(jobs, len(argslist))",
-           "    pass",
+           "jobs = min(jobs, len(argslist), ",
+           "jobs = min(jobs, ",
+           ("test_experiments.py",)),
+    Mutant("cpu-cap-removed", "experiments.py",
+           "len(argslist), os.cpu_count() or 1)",
+           "len(argslist))",
+           ("test_experiments.py", "test_cli.py")),
+    Mutant("pool-imported-with-the-module", "experiments.py",
+           "ProcessPoolExecutor = None\n",
+           "from concurrent.futures import ProcessPoolExecutor\n",
            ("test_experiments.py",)),
     Mutant("pool-reused-at-any-width", "experiments.py",
            "    if _pool is not None and _pool[0] != jobs:\n",
