@@ -4,10 +4,25 @@ A run starts from every independent k-subset of the graph.  Each set
 scores every vertex of its candidate pool with the configured heuristic
 and adopts the best one (ties broken toward the lowest vertex id); a set
 whose pool is empty is terminal.  The answer is the largest cardinality
-reached.  Both heuristics run the same candidate loop and differ only in
-the key: a scores a candidate v by |U'|, the pool vertices outside v's
-closed neighborhood, and b by the integer stability key below.  The
-winner's U' is the child's pool; seeds get theirs from the seed filter.
+reached.  Heuristic a scores a candidate v by |U'|, the pool vertices
+outside v's closed neighborhood, and b by the integer stability key
+below.  The winner's U' is the child's pool; seeds get theirs from the
+seed filter.
+
+Heuristic b, and heuristic a on graphs of edge density above 1/4, score
+every candidate in one candidate loop that differs only in the key.  On
+sparser graphs heuristic a skips the loop: |U'| = |pool| - 1 - (v's
+degree in the pool), so its winner is the lowest pool vertex of least
+pool degree.  Those degrees are kept bit-sliced
+(:func:`greedymis.graph.degree_planes`) along each chain: the winner
+comes from one top-down scan of about log2(max degree) planes, and the
+child's planes are the parent's, lowered by one carry chain for each
+pool neighbour of the winner.  A pool that is not the one the last call
+returned has its planes built afresh.  Each of the winner's pool
+neighbours costs a carry chain where the loop costs one step per
+candidate, so the planes lose on dense graphs; the rule comes from
+per-run timings on G(n, m), n = 30-120 (CPython 3.11, 2-core Xeon),
+where the planes won up to density 0.2-0.29 and lost from 0.3.
 
 Every set has exactly one child, one vertex larger, so the paper's
 lockstep rounds with per-generation dedup visit exactly the sets met by
@@ -62,7 +77,7 @@ from functools import lru_cache
 from itertools import chain, combinations
 from math import ceil, comb, floor, lcm, sqrt
 
-from .graph import Graph, VertexSet, mask_of, non_neighbors, to_vertex_set
+from .graph import Graph, VertexSet, degree_planes, mask_of, non_neighbors, to_vertex_set
 from .heuristics import Heuristic
 
 MAX_SEEDS = 10**6  # largest C(n, k) a run may enumerate
@@ -207,11 +222,14 @@ def _stepper(g: Graph, h: Heuristic, stats: RunStats) -> Callable[..., tuple[int
     n = g.n
     adj = g.adj
     outside = [~a ^ (1 << v) for v, a in enumerate(adj)]  # all but N[v]
+    degree_sum = sum(map(int.bit_count, adj))
     use_b = h is Heuristic.B
+    if not use_b and 4 * degree_sum <= n * (n - 1):  # density <= 1/4
+        return _a_stepper(n, adj, outside, stats)
     lo, hi = n + 1, 0  # pool widths keyed by delta; none for a
     if use_b:
         den, weights = _b_weights(n)
-        lo, hi = _delta_widths(n, sum(map(int.bit_count, adj)))
+        lo, hi = _delta_widths(n, degree_sum)
         dp = [0] * n  # induced degree in the pool, per pool vertex
         wp = [0] * n  # weights[dp[x]]
 
@@ -279,6 +297,62 @@ def _stepper(g: Graph, h: Heuristic, stats: RunStats) -> Callable[..., tuple[int
                 best_pool = u2
         stats.adjacency_checks += checks
         return (smask | best_bit if best_bit else 0), best_pool
+
+    return child
+
+
+def _a_stepper(
+    n: int, adj: list[int], outside: list[int], stats: RunStats
+) -> Callable[..., tuple[int, int]]:
+    """Heuristic a's ``child`` from pool-degree planes (module docstring).
+
+    The winner is the lowest pool vertex of least pool degree, that is of
+    most count.  A call handed the pool that the last call returned reuses
+    the planes that call lowered; any other pool has them built afresh.
+    Bits of vertices outside the pool are stale and every read masks them
+    off.
+    """
+    sizes = max(map(int.bit_count, adj), default=0) + 1  # pool degrees < sizes
+    planes: list[int] = []
+    last = -1  # the pool that ``planes`` describes; no pool is negative
+
+    def child(smask: int, pool: int, c: int) -> tuple[int, int]:
+        nonlocal planes, last
+        width = pool.bit_count()
+        stats.heuristic_evals += width
+        stats.adjacency_checks += c * (n - c) + width * (c + 1) * (n - c - 1)
+        if not pool:
+            return 0, 0
+        if pool != last:
+            by_degree = [0] * sizes
+            mm = pool
+            while mm:
+                low = mm & -mm
+                mm ^= low
+                by_degree[(adj[low.bit_length() - 1] & pool).bit_count()] |= low
+            planes = degree_planes(by_degree)
+        cand = pool
+        for p in reversed(planes):
+            most = cand & p
+            if most:
+                cand = most
+        low = cand & -cand
+        v = low.bit_length() - 1
+        u2 = pool & outside[v]  # U'
+        # lower U' once for each removed neighbour of the winner
+        nb = pool & adj[v]
+        while nb:
+            y = nb.bit_length() - 1
+            nb ^= 1 << y
+            s = adj[y] & u2
+            i = 0
+            while s:
+                cur = planes[i]
+                planes[i] = cur ^ s
+                s &= cur
+                i += 1
+        last = u2
+        return smask | low, u2
 
     return child
 

@@ -12,19 +12,23 @@ Vertices with at most one remaining neighbor are taken greedily, lowest
 first, which is always safe for unweighted independence.  A search state
 is the bitmask pair (avail, chosen), and sizes are read from the sets.
 
-Each state also keeps the degree of every vertex within avail, in a list
-indexed by vertex (a removed vertex reads 0), and the mask ``pending`` of
-the vertices of degree at most 1, so takes and the branch choice never
-scan avail for degrees.  A take of t removes t and its neighbor w, if
-any, and lowers the degree of each neighbor of w; a vertex that falls to
-1 or 0 joins ``pending``.  The branch vertex is the lowest of maximum
-degree.  The exclude child takes over its parent's degrees with the
-branch vertex cleared and its neighbors lowered by one; only the include
-child counts its degrees afresh, in one scan of its avail.
+Each state also keeps the degree of every vertex within avail as
+bit-sliced counters, W bitmasks ("planes") laid out by
+:func:`greedymis.graph.degree_planes`, in the spirit of the bitboard
+clique solvers (San Segundo, Rodriguez-Losada & Jimenez, 2011).  The top
+plane is exactly the set of degree at most 1, so the vertices waiting to
+be taken are ``avail & planes[-1]``, and lowering the degree of every
+vertex of a mask by one is one carry chain of whole-set operations.  A
+take of t removes t and its neighbor u, if any, and lowers u's
+neighbors.  The branch vertex is the lowest of maximum degree, that is
+of least count, found by one top-down scan of the planes.  The exclude
+child gets a copy of its parent's planes with N(v) lowered; the include
+child lowers the parent's planes once for each vertex of N(v).  A
+removed vertex's bits are stale and every read masks them off.
 
 States wait on an explicit stack, so the depth is not limited by Python's
-recursion limit.  A stacked state holds one n-entry degree list, 8 bytes
-per vertex and level.  An optional budget caps the search nodes (entries
+recursion limit.  A stacked state holds its two masks and W planes,
+W = O(log(max degree)).  An optional budget caps the search nodes (entries
 into a search state), so a limited search stops at the same point on
 every machine.  `brute_force_mis` scans every subset and exists to
 validate the control on small inputs.
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, VertexSet, mask_of, to_vertex_set
+from .graph import Graph, VertexSet, degree_planes, to_vertex_set
 
 BRUTE_FORCE_LIMIT = 24
 
@@ -66,38 +70,34 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
     if max_nodes is not None and max_nodes < 1:
         raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
     adj = g.adj
-    zeros = [0] * g.n
     deg = list(map(int.bit_count, adj))
+    by_degree = [0] * (max(deg, default=0) + 1)
+    for v, d in enumerate(deg):
+        by_degree[d] |= 1 << v
+    planes = degree_planes(by_degree)
     best_mask = 0
     bound_prunes = 0
     nodes = 1  # search nodes entered so far, the root included
-    # states still to search: (avail, chosen, deg, pending)
-    stack = [(g.full_mask, 0, deg, mask_of(v for v, d in enumerate(deg) if d <= 1))]
+    stack = [(g.full_mask, 0, planes)]  # states still to search
     while stack:
-        avail, chosen, deg, pending = stack.pop()
+        avail, chosen, planes = stack.pop()
         while avail:
+            pending = avail & planes[-1]
             if pending:
-                # take the lowest vertex of degree <= 1, drop its neighbor w
-                # if any, and lower the degrees of w's neighbors
+                # take the lowest vertex of degree <= 1, drop its neighbor
+                # if any, and lower the degrees of that neighbor's neighbors
                 take = pending & -pending
-                t = take.bit_length() - 1
-                w = adj[t] & avail
-                avail ^= take | w
+                nu = adj[take.bit_length() - 1] & avail
+                avail ^= take | nu
                 chosen |= take
-                pending &= avail
-                deg[t] = 0
-                if w:
-                    u = w.bit_length() - 1
-                    deg[u] = 0
-                    nb = adj[u] & avail
-                    while nb:
-                        x = nb.bit_length() - 1
-                        b = 1 << x
-                        nb ^= b
-                        d = deg[x] - 1
-                        deg[x] = d
-                        if d <= 1:
-                            pending |= b
+                if nu:
+                    s = adj[nu.bit_length() - 1] & avail
+                    i = 0
+                    while s:
+                        c = planes[i]
+                        planes[i] = c ^ s
+                        s &= c
+                        i += 1
                 continue
             # cover avail by cliques grown from its lowest vertex; stop once
             # the cover needs more cliques than |best| - |chosen|, as it then
@@ -119,38 +119,39 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
             if nodes == max_nodes:
                 raise OracleTimeout(f"oracle timed out after {max_nodes} search nodes")
             nodes += 1
-            # every degree in avail is >= 2 here and a removed vertex's is
-            # 0, so v is the lowest vertex of maximum degree in avail
-            v = deg.index(max(deg))
-            low = 1 << v
+            # keep the vertices of least count, plane by plane from the top
+            cand = avail
+            for p in reversed(planes):
+                least = cand & ~p
+                if least:
+                    cand = least
+            low = cand & -cand
             avail ^= low
-            nv = adj[v] & avail
-            # exclude child: the parent's degrees, v cleared, N(v) lowered
-            deg[v] = 0
-            nb = nv
-            while nb:
-                x = nb.bit_length() - 1
-                b = 1 << x
-                nb ^= b
-                d = deg[x] - 1
-                deg[x] = d
-                if d <= 1:
-                    pending |= b
-            stack.append((avail, chosen, deg, pending))
-            # include child: one fresh scan of its avail
+            nv = adj[low.bit_length() - 1] & avail
+            # exclude child: a copy of the parent's planes, N(v) lowered
+            excluded = planes[:]
+            s = nv
+            i = 0
+            while s:
+                c = excluded[i]
+                excluded[i] = c ^ s
+                s &= c
+                i += 1
+            stack.append((avail, chosen, excluded))
+            # include child: the parent's planes, lowered by each u in N(v)
             avail ^= nv
             chosen |= low
-            deg = zeros[:]
-            pending = 0
-            nb = avail
+            nb = nv
             while nb:
-                x = nb.bit_length() - 1
-                b = 1 << x
-                nb ^= b
-                d = (adj[x] & avail).bit_count()
-                deg[x] = d
-                if d <= 1:
-                    pending |= b
+                u = nb.bit_length() - 1
+                nb ^= 1 << u
+                s = adj[u] & avail
+                i = 0
+                while s:
+                    c = planes[i]
+                    planes[i] = c ^ s
+                    s &= c
+                    i += 1
         else:  # avail ran out: a maximal set, not a pruned state
             if chosen.bit_count() > best_mask.bit_count():
                 best_mask = chosen

@@ -8,6 +8,7 @@ operations.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .rng import SplitMix64
@@ -49,6 +50,33 @@ def bits_of(mask: int) -> Iterator[int]:
 
 def to_vertex_set(mask: int) -> VertexSet:
     return tuple(bits_of(mask))
+
+
+def degree_planes(by_degree: list[int]) -> list[int]:
+    """Bit-sliced degree counters of the disjoint masks ``by_degree[d]``.
+
+    A vertex of degree d holds the count top - d over W bitmasks
+    ("planes"): plane i is the mask of the vertices whose count has bit i
+    set.  W is the fewest planes that hold every count for
+    d < len(by_degree) with top = 2**(W-1) + 1, which makes the top plane
+    exactly the vertices of degree at most 1.  Lowering the degree of
+    every vertex of a mask s by one adds s to the counts, a carry chain
+    from plane 0 that needs no complement::
+
+        while s: c = planes[i]; planes[i] = c ^ s; s &= c; i += 1
+
+    so a higher degree is a lower count.
+    """
+    get = by_degree.__getitem__  # disjoint masks: their sum is their union
+    return [sum(map(get, pick)) for pick in _plane_picks(len(by_degree))]
+
+
+@lru_cache(maxsize=64)
+def _plane_picks(size: int) -> tuple[tuple[int, ...], ...]:
+    """For each plane of `degree_planes`, the degrees below ``size`` whose count sets it."""
+    w = max(size - 3, 1).bit_length() + 1
+    top = (1 << (w - 1)) + 1
+    return tuple(tuple(d for d in range(size) if (top - d) >> i & 1) for i in range(w))
 
 
 class Graph:

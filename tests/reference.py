@@ -10,16 +10,26 @@ README cost model.
 ``clique_alpha`` shares no code with ``greedymis.exact``: it finds the
 independence number as the largest clique of the complement graph.
 
-Both are slow and serve only as test oracles.  The file name keeps
-pytest from collecting it.
+``alpha_digest`` hashes the alphas of the seeded n = 60 cells
+ALPHA_CELLS, which ``tools/alpha_digest.py`` computes with
+``clique_alpha`` and the tests with ``exact_mis``.
+
+``plane_width_graphs`` lists small stars, wheels and stars joined to a
+path whose largest degrees sit on both sides of every change in the
+number of bit planes that the oracle and heuristic a keep.
+
+``lockstep_run`` and ``clique_alpha`` are slow and serve only as test
+oracles.  The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
 
+import hashlib
 from itertools import combinations
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from greedymis import Graph, Heuristic, score
+from greedymis import Graph, Heuristic, random_gnm, score
+from greedymis.rng import derive_seed
 
 
 class LockstepRun(NamedTuple):
@@ -101,3 +111,56 @@ def clique_alpha(g: Graph) -> int:
 
     expand(0, set(range(g.n)), set())
     return best
+
+
+# (n, m, runs) at n = 60, sparse to dense, with m = 4n weighted most; the
+# seeds are derive_seed(60, n, m, r)
+ALPHA_CELLS = ((60, 60, 8), (60, 120, 8), (60, 240, 32), (60, 885, 16), (60, 1416, 8))
+
+
+def alpha_digest(alpha_of: Callable[[Graph], int]) -> str:
+    """SHA-256 of ``n,m,r:alpha`` lines over ALPHA_CELLS."""
+    h = hashlib.sha256()
+    for n, m, runs in ALPHA_CELLS:
+        for r in range(runs):
+            g = random_gnm(n, m, seed=derive_seed(60, n, m, r))
+            h.update(f"{n},{m},{r}:{alpha_of(g)}\n".encode())
+    return h.hexdigest()
+
+
+def star(t):
+    """K_{1,t}: the hub 0 has degree t."""
+    return Graph(t + 1, [(0, i) for i in range(1, t + 1)])
+
+
+def wheel(t):
+    """The hub 0 joined to the t-cycle 1..t (t >= 3): the hub has degree t."""
+    return Graph(t + 1, [(0, i) for i in range(1, t + 1)]
+                 + [(i, i % t + 1) for i in range(1, t + 1)])
+
+
+def star_and_path(t, length=4):
+    """K_{1,t} whose last leaf starts a path of ``length`` more vertices."""
+    n = t + 1 + length
+    return Graph(n, [(0, i) for i in range(1, t + 1)] + [(i, i + 1) for i in range(t, n - 1)])
+
+
+# largest degrees on both sides of every change in the plane count (past 3,
+# 5, 9 and 17), and around 8 and 16
+PLANE_DEGREES = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 15, 16, 17, 18)
+
+
+def plane_width_graphs(pad=0):
+    """``(name, graph)`` of each family at each degree of PLANE_DEGREES.
+
+    ``pad`` isolated vertices are added to each graph, which makes it
+    sparse without changing its largest degree.
+    """
+    for t in PLANE_DEGREES:
+        family = [("star", star(t))]
+        if t >= 3:
+            family.append(("wheel", wheel(t)))
+        if t >= 1:
+            family.append(("star-path", star_and_path(t)))
+        for name, g in family:
+            yield f"{name}-{t}", Graph(g.n + pad, g.edges)

@@ -16,6 +16,7 @@ from greedymis import (
     RunStats,
     SeedLimitError,
     brute_force_mis,
+    exact_mis,
     expand_generation,
     initial_generation,
     non_neighbors,
@@ -25,7 +26,7 @@ from greedymis import (
 from greedymis.engine import MAX_SEEDS, _delta_widths
 from greedymis.heuristics import score
 from greedymis.rng import SplitMix64, derive_seed
-from reference import lockstep_run
+from reference import lockstep_run, plane_width_graphs
 
 C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 K5 = Graph(5, list(itertools.combinations(range(5), 2)))
@@ -432,6 +433,35 @@ class TestIndependentReference:
         assert checked >= 20, (h, k, checked)
 
 
+class TestPlaneWidths:
+    # heuristic a keeps pool degrees in bit planes on sparse graphs; these
+    # graphs put the largest degree on both sides of every change in the
+    # plane count.  Padding with isolated vertices makes every one sparse
+    @pytest.mark.parametrize("k, pad", [(1, 8), (2, 0)])
+    def test_full_and_target_runs_match_lockstep_reference(self, k, pad):
+        checked = 0
+        for name, g in plane_width_graphs(pad):
+            ref = lockstep_run(g, Heuristic.A, k)
+            if ref is None:
+                continue
+            cfg = EngineConfig(Heuristic.A, k)
+            res = run_greedy(g, cfg)
+            assert (res.size, res.witness) == (ref.size, ref.witness), name
+            assert res.stats.generation_sizes == ref.generation_sizes, name
+            assert res.stats.heuristic_evals == ref.heuristic_evals, name
+            assert res.stats.adjacency_checks == ref.adjacency_checks, name
+            alpha_set = exact_mis(g).witness
+            for w in (alpha_set, alpha_set[:-1]):
+                res = run_greedy(g, cfg, target=w)
+                assert res.size == min(ref.size, max(len(w), k)), (name, w)
+                assert res.complete is (ref.size < len(w)), (name, w)
+                if res.complete:
+                    assert res.witness == ref.witness, (name, w)
+                assert is_independent(g, res.witness), (name, w)
+            checked += 1
+        assert checked >= 30, checked
+
+
 class TestChainWitness:
     def test_witness_is_smallest_final_set_not_first_found(self):
         # chain order ends at (1, 3, 4, 8) before a later chain reaches the
@@ -521,14 +551,42 @@ GOLDEN_B_RUNS = {
 }
 
 
-@pytest.mark.parametrize("k, n, m, runs", sorted(GOLDEN_B_RUNS))
-def test_golden_b_runs(k, n, m, runs):
-    h = hashlib.sha256()
+def run_digest(h, k, n, m, runs, base):
+    digest = hashlib.sha256()
     for r in range(runs):
-        res = run_greedy(random_gnm(n, m, seed=derive_seed(19, n, m, r)), EngineConfig(B, k))
+        res = run_greedy(random_gnm(n, m, seed=derive_seed(base, n, m, r)), EngineConfig(h, k))
         s = res.stats
-        h.update(
+        digest.update(
             f"{r}:{','.join(map(str, res.witness))}:{','.join(map(str, s.generation_sizes))}"
             f":{s.heuristic_evals}:{s.adjacency_checks}\n".encode()
         )
-    assert h.hexdigest() == GOLDEN_B_RUNS[k, n, m, runs]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("k, n, m, runs", sorted(GOLDEN_B_RUNS))
+def test_golden_b_runs(k, n, m, runs):
+    assert run_digest(B, k, n, m, runs, 19) == GOLDEN_B_RUNS[k, n, m, runs]
+
+
+# The same digest for full heuristic-a runs (seeds derive_seed(20, n, m, r)):
+# sparse cells, where the engine keeps the pool degrees in bit planes, and
+# dense ones, where it scores every candidate.  The digests were recorded
+# from the engine that scored every candidate on every graph, so a plane
+# update that moves a single choice fails here.
+GOLDEN_A_RUNS = {
+    (1, 40, 40, 3): "ad80881fba35fd8ee3747de512427c9fda146fceb14ce4a93ded08222f898df7",
+    (1, 40, 130, 3): "31fa2ff9f3da030236946af50633feb060478ce0b15eca48ed68b7ab4290eb81",
+    (1, 40, 195, 3): "1e1cc91947c76bab8c1cb21bfe0ecef4f97a0a972094fdaeef379f8a096478d2",
+    (1, 40, 390, 3): "7b7182925ddf5acfee0e9aa4308f7abacb711a3dacdaacfb1aebe42b79d34017",
+    (1, 80, 160, 2): "877134ad19be07e978192572c5e7dafb40d354d4cf8ad852fee71b69e2e398bb",
+    (1, 80, 320, 2): "0a9338c51b1fcf096574914e00fb0851b7f2eef62d7d7f18cbb987f14c0b8caf",
+    (1, 120, 480, 1): "ed2fe8257ef95befe2bc74e7267d73c8930023e5b66d0e6d2e97915c149fbb94",
+    (2, 40, 80, 1): "9fb53c1a53217a452be8cb5818e60ac4aef8101318d634e3cbac7aa1f5dfad87",
+    (2, 40, 390, 1): "7bc4c33115da2285f03da6ed5a485afae4a109b08c718413c828058729f38b44",
+    (2, 80, 320, 1): "735157c836997efe5f28ebb91c53f54fdddfa3105db9680e15802687e89ef7f6",
+}
+
+
+@pytest.mark.parametrize("k, n, m, runs", sorted(GOLDEN_A_RUNS))
+def test_golden_a_runs(k, n, m, runs):
+    assert run_digest(Heuristic.A, k, n, m, runs, 20) == GOLDEN_A_RUNS[k, n, m, runs]

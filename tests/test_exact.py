@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,7 @@ from greedymis import (
     random_gnm,
 )
 from greedymis.rng import SplitMix64, derive_seed
-from reference import clique_alpha
+from reference import alpha_digest, clique_alpha, plane_width_graphs
 
 PETERSEN = Graph(
     10,
@@ -117,6 +118,32 @@ class TestCliqueCover:
         res = exact_mis(g, max_nodes=2000)
         assert res.alpha == 1001
         assert sorted(v // 3 for v in res.witness) == list(range(1001))
+        assert (res.nodes, res.bound_prunes) == (1002, 1000)
+
+    def test_deep_stack_memory(self):
+        # node 1001 is the last include branch of the first descent, so the
+        # budget stops the search with 1000 states stacked.  Each holds two
+        # planes of 3003 bits besides its masks; one 3003-entry degree list
+        # per state took 23.9 MiB.  (The whole solve is far slower traced.)
+        g = disjoint_triangles(1001)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleTimeout, match="after 1001 search nodes"):
+                exact_mis(g, max_nodes=1001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+
+
+class TestPlaneWidths:
+    @pytest.mark.parametrize("name, g", list(plane_width_graphs()))
+    def test_exact_matches_both_references(self, name, g):
+        res = exact_mis(g)
+        assert res.alpha == clique_alpha(g), name
+        assert is_independent(g, res.witness)
+        if g.n <= 16:
+            assert res.alpha == brute_force_mis(g).alpha, name
 
 
 class TestBruteForce:
@@ -182,6 +209,11 @@ class TestAgreement:
             )
             assert exact_mis(g).alpha == max_clique_size(complement)
 
+    def test_exact_matches_the_recorded_reference_at_n60(self):
+        # 72 graphs at n = 60, where clique_alpha takes about 0.5 s a graph;
+        # tools/alpha_digest.py recorded the digest from clique_alpha
+        assert alpha_digest(lambda g: exact_mis(g).alpha) == REFERENCE_ALPHA_DIGEST
+
     def test_exact_matches_the_clique_reference_above_brute_force(self):
         # 45 graphs, n = 25..45 at m = n, 4n and C(n,2)/2, against a search
         # that shares no code with exact_mis; alpha only, not the witness
@@ -190,6 +222,12 @@ class TestAgreement:
                 for r in range(3):
                     g = random_gnm(n, m, seed=derive_seed(25, n, m, r))
                     assert exact_mis(g).alpha == clique_alpha(g), (n, m, r)
+
+
+# SHA-256 of the alphas of reference.ALPHA_CELLS, printed by
+# tools/alpha_digest.py from tests/reference.py::clique_alpha, which shares
+# no code with exact_mis.  Re-record it only when ALPHA_CELLS changes.
+REFERENCE_ALPHA_DIGEST = "29a7ed0b047e5a046cb4a3a6d11272226f5651522bce49edd2c5bd79704a1be0"
 
 
 # SHA-256 of exact_mis witnesses over seeded G(n, m) cells, n beyond the

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greedymis import Graph, GraphError, induced_subgraph, non_neighbors, random_gnm
-from greedymis.graph import MAX_VERTICES
+from greedymis.graph import MAX_VERTICES, degree_planes
 from greedymis.rng import derive_seed
 
 ALL_PAIRS_5 = list(itertools.combinations(range(5), 2))
@@ -170,3 +170,38 @@ class TestInducedSubgraph:
         assert sub.n == len(members)
         for a, b in itertools.combinations(range(len(members)), 2):
             assert sub.adjacent(a, b) == g.adjacent(members[a], members[b])
+
+
+def plane_count(planes, v):
+    return sum(1 << i for i, p in enumerate(planes) if p >> v & 1)
+
+
+class TestDegreePlanes:
+    # plane widths change where the largest degree crosses 2**j + 1
+    @pytest.mark.parametrize("top_deg", [0, 1, 2, 3, 4, 5, 6, 9, 10, 17, 18, 33, 34])
+    def test_counts_top_plane_and_lowering(self, top_deg):
+        # vertex d has degree d: its count is top - d, the top plane is
+        # degree <= 1, and lowering every vertex down to degree 0 by carry
+        # chains never runs past the last plane
+        planes = degree_planes([1 << d for d in range(top_deg + 1)])
+        w = len(planes)
+        top = (1 << (w - 1)) + 1
+        assert w == 2 or top_deg > (1 << (w - 2)) + 1  # the fewest planes
+        assert top >= top_deg
+        assert [plane_count(planes, d) for d in range(top_deg + 1)] == [
+            top - d for d in range(top_deg + 1)]
+        assert planes[-1] == 0b11 & ((1 << (top_deg + 1)) - 1)
+        for level in range(top_deg, 0, -1):
+            s = (1 << (top_deg + 1)) - (1 << level)  # every vertex of degree >= level
+            i = 0
+            while s:
+                c = planes[i]
+                planes[i] = c ^ s
+                s &= c
+                i += 1
+        assert [plane_count(planes, d) for d in range(top_deg + 1)] == [top] * (top_deg + 1)
+
+    def test_masks_of_many_vertices(self):
+        planes = degree_planes([0b1, 0, 0b110, 0, 0b1000])  # degrees 0, 2, 2, 4
+        top = (1 << (len(planes) - 1)) + 1
+        assert [plane_count(planes, v) for v in range(4)] == [top, top - 2, top - 2, top - 4]

@@ -99,6 +99,25 @@ MUTANTS = (
            "                    m2 = gone\n",
            "                    m2 = gone ^ low\n",
            ("test_engine.py",)),
+    Mutant("a-tie-highest-id", "engine.py",
+           "        low = cand & -cand\n",
+           "        low = 1 << (cand.bit_length() - 1)\n",
+           ("test_engine.py",)),
+    Mutant("a-removed-vertex-not-lowered", "engine.py",
+           "        nb = pool & adj[v]\n",
+           "        nb = pool & adj[v]\n"
+           "        nb &= nb - 1\n",
+           ("test_engine.py",)),
+    Mutant("a-carry-inverted", "engine.py",
+           "                s &= cur\n",
+           "                s &= ~cur\n",
+           ("test_engine.py",)),
+    Mutant("a-planes-kept-for-any-pool", "engine.py",
+           "        if pool != last:\n",
+           "        if last < 0:\n",
+           ("test_engine.py",)),
+    # dropped: the density rule that picks the plane path for heuristic a
+    # moves no output, only the time a run takes.
     Mutant("target-stop-late", "engine.py",
            "            if c >= stop:\n",
            "            if c > stop:\n",
@@ -112,31 +131,35 @@ MUTANTS = (
            "while rest and spare > 0:",
            "while rest and spare >= 0:",
            ("test_exact.py",)),
-    Mutant("take-degree-two", "exact.py",
-           "                d = (adj[x] & avail).bit_count()\n"
-           "                deg[x] = d\n"
-           "                if d <= 1:\n",
-           "                d = (adj[x] & avail).bit_count()\n"
-           "                deg[x] = d\n"
-           "                if d <= 2:\n",
+    Mutant("take-carry-inverted", "exact.py",
+           "                        planes[i] = c ^ s\n"
+           "                        s &= c\n",
+           "                        planes[i] = c ^ s\n"
+           "                        s &= ~c\n",
            ("test_exact.py",)),
-    Mutant("take-misses-degree-one", "exact.py",
-           "                        if d <= 1:\n",
-           "                        if d < 1:\n",
+    Mutant("exclude-carry-inverted", "exact.py",
+           "                excluded[i] = c ^ s\n"
+           "                s &= c\n",
+           "                excluded[i] = c ^ s\n"
+           "                s &= ~c\n",
            ("test_exact.py",)),
-    Mutant("exclude-keeps-parent-degrees", "exact.py",
-           "                d = deg[x] - 1\n"
-           "                deg[x] = d\n",
-           "                d = deg[x]\n"
-           "                deg[x] = d\n",
+    Mutant("pending-from-wrong-plane", "exact.py",
+           "pending = avail & planes[-1]",
+           "pending = avail & planes[-2]",
            ("test_exact.py",)),
-    Mutant("include-degrees-share-zeros", "exact.py",
-           "            deg = zeros[:]\n",
-           "            deg = zeros\n",
+    Mutant("exclude-planes-share-parent", "exact.py",
+           "            excluded = planes[:]\n",
+           "            excluded = planes\n",
            ("test_exact.py",)),
     Mutant("branch-tie-highest-id", "exact.py",
-           "v = deg.index(max(deg))",
-           "v = len(deg) - 1 - deg[::-1].index(max(deg))",
+           "            low = cand & -cand\n"
+           "            avail ^= low\n",
+           "            low = 1 << (cand.bit_length() - 1)\n"
+           "            avail ^= low\n",
+           ("test_exact.py",)),
+    Mutant("include-misses-one-neighbor", "exact.py",
+           "            nb = nv\n",
+           "            nb = nv & (nv - 1)\n",
            ("test_exact.py",)),
     # an unlimited search also fails here (None does not compare with >),
     # but the budget tests alone kill the boundary shift
@@ -152,6 +175,15 @@ MUTANTS = (
            "            if chosen.bit_count() > best_mask.bit_count():\n",
            "            if chosen.bit_count() >= best_mask.bit_count():\n",
            ("test_exact.py",)),
+    # --- degree planes -------------------------------------------------
+    Mutant("planes-top-not-degree-one", "graph.py",
+           "    top = (1 << (w - 1)) + 1\n",
+           "    top = 1 << (w - 1)\n",
+           ("test_graph.py", "test_exact.py")),
+    Mutant("planes-one-too-few", "graph.py",
+           "w = max(size - 3, 1).bit_length() + 1",
+           "w = max(size - 3, 1).bit_length()",
+           ("test_graph.py", "test_exact.py")),
     # --- seeded randomness ----------------------------------------------
     Mutant("below-accepts-bound", "rng.py",
            "            if r < bound:\n",
