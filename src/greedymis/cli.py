@@ -131,6 +131,7 @@ def _cmd_oracle(args) -> int:
     result = exact_mis(g, args.max_nodes)
     witness = ",".join(map(str, result.witness))
     print(f"alpha={result.alpha} witness={witness}")
+    print(f"nodes={result.nodes} bound_prunes={result.bound_prunes}", file=sys.stderr)
     return 0
 
 

@@ -26,6 +26,30 @@ child gets a copy of its parent's planes with N(v) lowered; the include
 child lowers the parent's planes once for each vertex of N(v).  A
 removed vertex's bits are stale and every read masks them off.
 
+A graph of at least RELABEL_MIN_N = 50 vertices is searched relabelled
+in smallest-last order (Matula & Beck, 1983): repeatedly remove a vertex
+of least remaining degree, the lowest id on ties; vertex order[i], the
+i-th removed, becomes bit i.  The search runs unchanged on the permuted
+masks and the witness is mapped back.  Every "lowest vertex first" of
+the search (the take, the cover's growth, the branch tie) then starts
+from the sparse end of the graph.  At n = 80, m = 4n it cut the median
+node count from 625.5 to 492.5 (60 graphs, derive_seed(1, 80, 320, r)),
+and no graph took more nodes.  It moves witnesses and node counts, so a
+budgeted failure or accuracy run at n >= 50 can count different oracle
+timeouts than before (a run can time out where it did not, or the
+reverse).  Below n = 50 the search is the plain one, node for node.  The
+order and the permuted masks cost O(n + m) per call, which is what sets
+the threshold.
+Per-call time with the relabel over the plain search at m = 4n (median
+of 15 interleaved rounds, 6-300 graphs per n, 2-core Xeon, Python 3.11.7):
+
+    n       20    30    40    45    50    55    60    80    100
+    ratio   1.65  1.30  1.08  1.03  0.98  0.88  0.87  0.72  0.67
+
+It loses on n >= 50 graphs that the search solves in few nodes, sparse or
+dense: n = 60, m = 90 reads 2.57 (0.10 -> 0.24 ms), n = 60, m = 120 1.37,
+n = 50, m = 600 1.11 and n = 80, m = 160 1.09; n = 80, m = 800 reads 0.82.
+
 States wait on an explicit stack, so the depth is not limited by Python's
 recursion limit.  A stacked state holds its two masks and W planes,
 W = O(log(max degree)).  An optional budget caps the search nodes (entries
@@ -38,9 +62,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, VertexSet, degree_planes, to_vertex_set
+from .graph import Graph, VertexSet, bits_of, degree_planes, mask_of, to_vertex_set
 
 BRUTE_FORCE_LIMIT = 24
+RELABEL_MIN_N = 50  # smallest n searched in smallest-last order; see the module docstring
 
 
 @dataclass(frozen=True)
@@ -70,11 +95,24 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
     if max_nodes is not None and max_nodes < 1:
         raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
     adj = g.adj
-    deg = list(map(int.bit_count, adj))
-    by_degree = [0] * (max(deg, default=0) + 1)
-    for v, d in enumerate(deg):
-        by_degree[d] |= 1 << v
-    planes = degree_planes(by_degree)
+    order = None
+    if g.n >= RELABEL_MIN_N:
+        # search the graph with vertex order[i] as bit i
+        order = _smallest_last(adj)
+        bit = [0] * g.n
+        for i, v in enumerate(order):
+            bit[v] = 1 << i
+        relabelled = []
+        for v in order:
+            a = adj[v]
+            row = 0
+            while a:
+                low = a & -a
+                a ^= low
+                row |= bit[low.bit_length() - 1]
+            relabelled.append(row)
+        adj = relabelled
+    planes = _degree_planes(adj)
     best_mask = 0
     bound_prunes = 0
     nodes = 1  # search nodes entered so far, the root included
@@ -155,7 +193,49 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
         else:  # avail ran out: a maximal set, not a pruned state
             if chosen.bit_count() > best_mask.bit_count():
                 best_mask = chosen
+    if order is not None:
+        best_mask = mask_of(order[i] for i in bits_of(best_mask))
     return OracleResult(to_vertex_set(best_mask), nodes, bound_prunes)
+
+
+def _degree_planes(adj: list[int]) -> list[int]:
+    """The bit-sliced degree counters of every vertex of ``adj``."""
+    deg = list(map(int.bit_count, adj))
+    by_degree = [0] * (max(deg, default=0) + 1)
+    for v, d in enumerate(deg):
+        by_degree[d] |= 1 << v
+    return degree_planes(by_degree)
+
+
+def _smallest_last(adj: list[int]) -> list[int]:
+    """Vertices in the order of repeatedly removing one of least remaining degree.
+
+    Ties go to the lowest id.  The remaining degrees are kept as the
+    search keeps them: the next vertex is the lowest of greatest count,
+    found by one top-down scan of the planes, and a removal lowers its
+    remaining neighbors with one carry chain.
+    """
+    planes = _degree_planes(adj)
+    left = (1 << len(adj)) - 1
+    order = []
+    while left:
+        cand = left
+        for p in reversed(planes):
+            most = cand & p
+            if most:
+                cand = most
+        low = cand & -cand
+        left ^= low
+        v = low.bit_length() - 1
+        order.append(v)
+        s = adj[v] & left
+        i = 0
+        while s:
+            c = planes[i]
+            planes[i] = c ^ s
+            s &= c
+            i += 1
+    return order
 
 
 def brute_force_mis(g: Graph) -> OracleResult:

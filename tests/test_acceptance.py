@@ -2,8 +2,9 @@
 
 Each criterion prints a single PASS/FAIL line (run with ``pytest -s -v``
 to see them live).  The statistical criteria are seed-pinned and run at
-desk scale; the full module took 16.8-17.3 s of wall time on a 2-core
-Xeon with Python 3.11.7, about 15 s of it the setup of criterion 2.
+desk scale; the full module took 11.4-12.4 s of wall time on a 2-core
+Xeon with Python 3.11.7, almost all of it the setup of criterion 2
+(11.9 s in one run).
 Criterion 6 checks the n=20 report of criterion 2 against a pinned
 digest.
 """

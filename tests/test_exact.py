@@ -5,6 +5,8 @@ import itertools
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedymis import (
     Graph,
@@ -14,6 +16,7 @@ from greedymis import (
     exact_mis,
     random_gnm,
 )
+from greedymis.exact import RELABEL_MIN_N, _smallest_last
 from greedymis.rng import SplitMix64, derive_seed
 from reference import alpha_digest, clique_alpha, plane_width_graphs
 
@@ -36,6 +39,23 @@ def disjoint_triangles(k):
 
 def is_independent(g, s):
     return all(not g.adjacent(u, v) for u, v in itertools.combinations(s, 2))
+
+
+@st.composite
+def graphs(draw, max_n):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+@st.composite
+def padded(draw, max_n=12):
+    """``(g, slot, big)``: a small graph ``g`` whose vertex v is ``slot[v]``
+    of ``big``, which has at least RELABEL_MIN_N vertices; the vertices
+    ``slot[g.n:]`` of ``big`` are isolated."""
+    g = draw(graphs(max_n))
+    slot = draw(st.permutations(range(draw(st.integers(RELABEL_MIN_N, RELABEL_MIN_N + 14)))))
+    return g, slot, Graph(len(slot), [(slot[u], slot[v]) for u, v in g.edges])
 
 
 class TestExactMis:
@@ -146,6 +166,55 @@ class TestPlaneWidths:
             assert res.alpha == brute_force_mis(g).alpha, name
 
 
+class TestSmallestLast:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(24))
+    def test_removes_the_lowest_vertex_of_least_remaining_degree(self, g):
+        order = _smallest_last(g.adj)
+        assert sorted(order) == list(range(g.n))
+        left = set(range(g.n))
+        for v in order:
+            deg = {u: sum(g.adjacent(u, w) for w in left) for u in left}
+            least = min(deg.values())
+            assert v == min(u for u in left if deg[u] == least)
+            left.remove(v)
+
+
+class TestRelabel:
+    """Graphs of n >= RELABEL_MIN_N are searched relabelled, witness mapped back."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(padded())
+    def test_padded_alpha_is_brute_force_plus_padding(self, case):
+        g, slot, big = case
+        res = exact_mis(big)
+        assert res.alpha == brute_force_mis(g).alpha + big.n - g.n
+        assert is_independent(big, res.witness)
+        # a maximum set holds every isolated vertex
+        assert set(slot[g.n:]) <= set(res.witness)
+
+    @pytest.mark.parametrize("name, g", list(plane_width_graphs(pad=RELABEL_MIN_N)))
+    def test_padded_plane_width_graphs(self, name, g):
+        small = Graph(g.n - RELABEL_MIN_N, g.edges)
+        res = exact_mis(g)
+        assert res.alpha == clique_alpha(small) + RELABEL_MIN_N, name
+        assert is_independent(g, res.witness)
+        assert set(range(small.n, g.n)) <= set(res.witness)
+
+    def test_union_of_brute_forceable_graphs(self):
+        # four G(13, m), part k's vertex u at id 31 * (13k + u) mod 52, so the
+        # parts interleave: alpha adds over the components
+        rng = SplitMix64(50)
+        for _ in range(6):
+            parts = [random_gnm(13, rng.below(79), seed=rng.next_u64()) for _ in range(4)]
+            edges = [(31 * (13 * k + u) % 52, 31 * (13 * k + v) % 52)
+                     for k, p in enumerate(parts) for u, v in p.edges]
+            g = Graph(52, edges)
+            res = exact_mis(g)
+            assert res.alpha == sum(brute_force_mis(p).alpha for p in parts)
+            assert is_independent(g, res.witness)
+
+
 class TestBruteForce:
     def test_edgeless(self):
         assert brute_force_mis(Graph(3)).alpha == 3
@@ -231,21 +300,24 @@ REFERENCE_ALPHA_DIGEST = "29a7ed0b047e5a046cb4a3a6d11272226f5651522bce49edd2c5bd
 
 
 # SHA-256 of exact_mis witnesses over seeded G(n, m) cells, n beyond the
-# brute-force range.  The digests were recorded from the search before the
-# clique-cover bound went in, so a bound or reordering that moves a single
-# witness fails here rather than only against a rerun of itself.
+# brute-force range.  The n <= 40 digests were recorded from the search
+# before the clique-cover bound went in, so a bound or reordering that moves
+# a single witness fails here rather than only against a rerun of itself.
+# The n >= 50 digests were re-recorded when those graphs began to be
+# searched in smallest-last order; every moved witness was checked to be
+# independent and of the old size.
 GOLDEN_WITNESSES = {
     (20, 80, 50): "40f19d7be462242623302048020b38f6afccd4766c64bd5360431c29557681c3",
     (30, 120, 40): "5cfbd3cbce3c75e93efcd1accba138934e694167000fdf1ddaa721d627616013",
     (40, 160, 30): "b2d28ab3f80b58efdf00ef356259a14555cdb52fd9367b89605d05a374059294",
-    (60, 240, 12): "a83fcf6694f6aa0cf5f38730386332e7eb326aed451ae4b2f64e258cae9a2ad7",
-    (80, 320, 6): "46a6102f3332bfc56765469d542cc0fe993e7204895d74ec9303355f4b30ff0c",
+    (60, 240, 12): "51709913183bdc429659f3a59694e7c098312e0df3107938b5fb4decf0f908e9",
+    (80, 320, 6): "a1653903b77f2abe613db1ee4d01a456e20d7dd03b31cf9f625db23a2d39062b",
     (30, 217, 20): "15ca2f17fba4d5293345d198a9ededb5ee73d53f3d44c03864a0bd3fe3e2fa36",
     (40, 390, 12): "e9f52b34bcf34635e79d053ba459070b5a391298f95c382d2b76b9e511659eb1",
-    (50, 600, 10): "3c7e5a6f0e76da890a46477ddd1a5921870a1a44e07c1e8fa33761d504b31be9",
+    (50, 600, 10): "81d87ca3dab1635d7f9a8f811fd9c997b99d9fa7d8aa67ab0686953b51c691d5",
     (40, 40, 20): "efa4bcb521ed35c4375e725446b56eabc36185130582136280bc32b2c324f1d3",
-    (60, 90, 12): "20887c753050c95e23caea3479c688d26ba0af39009ecd874a5f74c467d3dbce",
-    (60, 120, 12): "85b59feb89ae1d58265fd10fa0b6dc395219886756ac6573c407d0ae6b3aa2d5",
+    (60, 90, 12): "2b6f4ad1c2f9dfb3744c619cf311e103787333a52ceabdecc42a0c75ae2a26d2",
+    (60, 120, 12): "56767116100b341c9d7283f915144a47b05b58e0ef45422e231730a09824ef36",
 }
 
 
@@ -263,7 +335,8 @@ def test_golden_witnesses(n, m, runs):
 # digests were recorded from the search that rescanned avail at every node,
 # before the degrees were kept across takes and branches, so a change to
 # the take order, the branch vertex, the cover or the DFS order fails here
-# even where every witness stays the same.
+# even where every witness stays the same.  The n >= 50 digests were
+# re-recorded with the smallest-last relabel, as for GOLDEN_WITNESSES.
 GOLDEN_COUNTERS = {
     (12, 0, 3): "c1da16a6a834d09ffe764688ab320ecf5b39431e91c384e0d39c3bac719e1eab",
     (12, 66, 3): "fcc28b60e145e4cd8e858136fffb4c138e198a8cedc7d63cca51dcf23f7864cc",
@@ -272,9 +345,9 @@ GOLDEN_COUNTERS = {
     (30, 120, 40): "754f25768d7a6c36b269bda00dec3f3d64d64cb0948c4df32c70316992df0a6b",
     (30, 217, 20): "d8fd8dd99cdc391adca6c0362e6e71643af72dd0743c229832643e93ee5cb222",
     (40, 160, 30): "b3e8db29ad38a266ae07c456ac46da02dbd845313becf631caf906781c5ff11e",
-    (60, 90, 12): "ab336abef25787e44c95d52bf8ff810a37735fe3acdba2df17ce7ec01dec6451",
-    (60, 240, 12): "e8f6684230d2d7cd1a27398d0f62ca1f2550b84b74178791bde9ab2c0e4406aa",
-    (80, 320, 6): "5e8da10818f62b6c9b5807dccbdff5bdb6578315139d3ec7d9a297c9ec7e4753",
+    (60, 90, 12): "98f832fbcdae5db007d5e13fc0de683cb39fca1c361b164999276706d491158c",
+    (60, 240, 12): "4f1a5aa943d205d7e4b0ac9c08cb955f42c0d28eb745c839b758de36a7f0cfee",
+    (80, 320, 6): "89abcea270e8659e521dfa144ed6db11d4b11a48013f61dff6e53f3ee8c5e5db",
 }
 
 

@@ -186,22 +186,22 @@ class TestFailureExperiment:
         assert lines[1] == "90,360,0,a1,0,"
 
     def test_node_budget_is_deterministic_across_jobs_and_threads(self):
-        # a budget of 1300 lies between the two runs' node counts, so it
+        # a budget of 890 lies between the two runs' node counts, so it
         # excludes exactly one, whatever the machine, pool or thread
         nodes = [exact_mis(random_gnm(90, 360, derive_seed(3, 90, 360, r))).nodes
                  for r in range(2)]
-        assert nodes == [1411, 1146]
+        assert nodes == [901, 886]
         cfg = ExperimentConfig((90,), "4n", parse_algorithms("a1"), 2, 3)
-        report = run_failure_experiment(cfg, oracle_max_nodes=1300)
+        report = run_failure_experiment(cfg, oracle_max_nodes=890)
         (cell,) = report.cells
         assert 0 < cell.oracle_timeouts < cfg.runs
         serial = emit_csv(report)
-        pooled = run_failure_experiment(cfg, jobs=2, oracle_max_nodes=1300)
+        pooled = run_failure_experiment(cfg, jobs=2, oracle_max_nodes=890)
         assert emit_csv(pooled) == serial
         out = []
 
         def off_main_thread():
-            out.append(emit_csv(run_failure_experiment(cfg, oracle_max_nodes=1300)))
+            out.append(emit_csv(run_failure_experiment(cfg, oracle_max_nodes=890)))
 
         thread = threading.Thread(target=off_main_thread)
         thread.start()

@@ -175,6 +175,16 @@ MUTANTS = (
            "            if chosen.bit_count() > best_mask.bit_count():\n",
            "            if chosen.bit_count() >= best_mask.bit_count():\n",
            ("test_exact.py",)),
+    Mutant("witness-in-relabelled-ids", "exact.py",
+           "    if order is not None:\n",
+           "    if False:\n",
+           ("test_exact.py",)),
+    Mutant("smallest-last-tie-highest-id", "exact.py",
+           "        low = cand & -cand\n"
+           "        left ^= low\n",
+           "        low = 1 << (cand.bit_length() - 1)\n"
+           "        left ^= low\n",
+           ("test_exact.py",)),
     # --- degree planes -------------------------------------------------
     Mutant("planes-top-not-degree-one", "graph.py",
            "    top = (1 << (w - 1)) + 1\n",
