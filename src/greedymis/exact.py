@@ -1,7 +1,8 @@
 """Exact maximum-independent-set solvers.
 
 `exact_mis` is a branch-and-bound control: branch on a maximum-degree
-vertex (include it and delete its closed neighborhood, then exclude it).
+vertex, search the child that excludes it first and the child that
+includes it (and deletes its closed neighborhood) after.
 A state is pruned when it cannot beat the best set so far: |current| plus
 the number of cliques in a greedy clique cover of the remaining vertices
 bounds every set below it (an independent set meets each clique at most
@@ -21,10 +22,36 @@ be taken are ``avail & planes[-1]``, and lowering the degree of every
 vertex of a mask by one is one carry chain of whole-set operations.  A
 take of t removes t and its neighbor u, if any, and lowers u's
 neighbors.  The branch vertex is the lowest of maximum degree, that is
-of least count, found by one top-down scan of the planes.  The exclude
-child gets a copy of its parent's planes with N(v) lowered; the include
-child lowers the parent's planes once for each vertex of N(v).  A
-removed vertex's bits are stale and every read masks them off.
+of least count, found by one top-down scan of the planes.  The include
+child waits on the stack with a copy of its parent's planes, lowered once
+for each vertex of N(v); the exclude child lowers the parent's planes
+over N(v) in place and is searched at once.  A removed vertex's bits are
+stale and every read masks them off.
+
+Searching the exclude child first makes the first descent a greedy set:
+it keeps deleting a vertex of largest degree until the takes of degree
+<= 1 finish the set, where an include-first descent adds a vertex of
+largest degree at each branch, the worst greedy choice.  The cover
+prunes only against the best set so far, so a good one early is worth
+much of the tree: given the optimal set as its best at the root, the
+include-first search took 19,512 of its 30,373 nodes (n = 80, m = 4n,
+derive_seed(1, 80, 320, r), r < 60).  Nodes over those 60 graphs per n
+at m = 4n, and per-call time, exclude first over include first (median
+of 11 alternating rounds of tools/ab.py, 2-core Xeon, Python 3.11.7):
+
+    n               20     30     40     60     80      100
+    include first   569    1206   2679   7834   30373   113851
+    exclude first   608    932    2078   5397   23075   77103
+    time ratio      0.90   0.69   0.71   0.70   0.78    0.76
+
+The n = 80 median fell from 492.5 to 318 nodes.  Dense cells gain as
+much: n = 40, m = 390 reads 0.67 and n = 80, m = 800 0.85; the sparse
+n = 60, m = 90 reads 0.95.  The complete graph loses: with no set to
+prune against, the descent branches down to the last edge, so K_n takes
+n - 1 nodes instead of 2, and K25 0.117 ms instead of 0.027 ms, a cost
+linear in n.  Some graphs take more nodes than before (22 of the 60 at
+n = 20, 8 at n = 80, up to twice as many), so a node budget chosen under
+the include-first order can exclude other runs than it did.
 
 A graph of at least RELABEL_MIN_N = 50 vertices is searched relabelled
 in smallest-last order (Matula & Beck, 1983): repeatedly remove a vertex
@@ -32,28 +59,26 @@ of least remaining degree, the lowest id on ties; vertex order[i], the
 i-th removed, becomes bit i.  The search runs unchanged on the permuted
 masks and the witness is mapped back.  Every "lowest vertex first" of
 the search (the take, the cover's growth, the branch tie) then starts
-from the sparse end of the graph.  At n = 80, m = 4n it cut the median
-node count from 625.5 to 492.5 (60 graphs, derive_seed(1, 80, 320, r)),
-and no graph took more nodes.  It moves witnesses and node counts, so a
-budgeted failure or accuracy run at n >= 50 can count different oracle
-timeouts than before (a run can time out where it did not, or the
-reverse).  Below n = 50 the search is the plain one, node for node.  The
-order and the permuted masks cost O(n + m) per call, which is what sets
-the threshold.
+from the sparse end of the graph.  At n = 80, m = 4n it cuts the nodes
+of the 60 graphs above from 33,461 to 23,075 (median 491.5 -> 318), and
+no graph takes more nodes; at n = 50, 6 of 60 take more.  Below n = 50
+the search is the plain one, node for node.  The order and the permuted
+masks cost O(n + m) per call, which is what sets the threshold.
 Per-call time with the relabel over the plain search at m = 4n (median
-of 15 interleaved rounds, 6-300 graphs per n, 2-core Xeon, Python 3.11.7):
+of 11 alternating rounds of tools/ab.py, 60 graphs per n, 2-core Xeon,
+Python 3.11.7):
 
     n       20    30    40    45    50    55    60    80    100
-    ratio   1.65  1.30  1.08  1.03  0.98  0.88  0.87  0.72  0.67
+    ratio   1.75  1.44  1.09  1.00  1.01  0.92  0.81  0.84  0.69
 
 It loses on n >= 50 graphs that the search solves in few nodes, sparse or
-dense: n = 60, m = 90 reads 2.57 (0.10 -> 0.24 ms), n = 60, m = 120 1.37,
-n = 50, m = 600 1.11 and n = 80, m = 160 1.09; n = 80, m = 800 reads 0.82.
+dense: n = 60, m = 90 reads 2.66 (0.08 -> 0.22 ms), n = 60, m = 120 1.49,
+n = 50, m = 600 1.17 and n = 80, m = 160 1.21; n = 80, m = 800 reads 0.79.
 
 States wait on an explicit stack, so the depth is not limited by Python's
 recursion limit.  A stacked state holds its two masks and W planes,
-W = O(log(max degree)).  An optional budget caps the search nodes (entries
-into a search state), so a limited search stops at the same point on
+W = O(log(max degree)).  An optional budget caps the search nodes (the
+root and one per branch), so a limited search stops at the same point on
 every machine.  `brute_force_mis` scans every subset and exists to
 validate the control on small inputs.
 """
@@ -166,30 +191,30 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
             low = cand & -cand
             avail ^= low
             nv = adj[low.bit_length() - 1] & avail
-            # exclude child: a copy of the parent's planes, N(v) lowered
-            excluded = planes[:]
-            s = nv
-            i = 0
-            while s:
-                c = excluded[i]
-                excluded[i] = c ^ s
-                s &= c
-                i += 1
-            stack.append((avail, chosen, excluded))
-            # include child: the parent's planes, lowered by each u in N(v)
-            avail ^= nv
-            chosen |= low
+            # include child, searched later: a copy of the parent's planes,
+            # lowered by each u in N(v)
+            included = planes[:]
+            left = avail ^ nv
             nb = nv
             while nb:
                 u = nb.bit_length() - 1
                 nb ^= 1 << u
-                s = adj[u] & avail
+                s = adj[u] & left
                 i = 0
                 while s:
-                    c = planes[i]
-                    planes[i] = c ^ s
+                    c = included[i]
+                    included[i] = c ^ s
                     s &= c
                     i += 1
+            stack.append((left, chosen | low, included))
+            # exclude child, searched now: the parent's planes, N(v) lowered
+            s = nv
+            i = 0
+            while s:
+                c = planes[i]
+                planes[i] = c ^ s
+                s &= c
+                i += 1
         else:  # avail ran out: a maximal set, not a pruned state
             if chosen.bit_count() > best_mask.bit_count():
                 best_mask = chosen

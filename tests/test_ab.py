@@ -1,0 +1,35 @@
+"""Smoke test of tools/ab.py: HEAD against HEAD for one tiny round."""
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _has_committed_package():
+    if shutil.which("git") is None:
+        return False
+    proc = subprocess.run(["git", "rev-parse", "--verify", "-q", "HEAD:src/greedymis"],
+                          cwd=ROOT, capture_output=True)
+    return proc.returncode == 0
+
+
+@pytest.mark.skipif(not _has_committed_package(), reason="needs a git checkout")
+def test_head_against_head():
+    cmd = [sys.executable, str(ROOT / "tools" / "ab.py"), "--base", "HEAD",
+           "--change", "HEAD", "--rounds", "1", "--graphs", "2",
+           "--cells", "20:80,25:300"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert (out["base"], out["change"], out["rounds"]) == ("HEAD", "HEAD", 1)
+    assert list(out["cells"]) == ["n=20 m=80", "n=25 m=300"]
+    for cell in out["cells"].values():
+        assert cell["base_nodes"] == cell["change_nodes"] > 0
+        assert len(cell["base_ms"]) == len(cell["change_ms"]) == 1
+        assert cell["change_wins"] in (0, 1)

@@ -79,7 +79,7 @@ class TestOracle:
     def test_search_counters_go_to_stderr(self, k5_file, capsys):
         # stdout keeps the bytes it had before the counters were reported
         assert main(["oracle", "--graph", k5_file]) == 0
-        assert capsys.readouterr() == ("alpha=1 witness=0\n", "nodes=2 bound_prunes=1\n")
+        assert capsys.readouterr() == ("alpha=1 witness=3\n", "nodes=4 bound_prunes=0\n")
 
     def test_relabelled_search_reports_the_library_result(self, tmp_path, capsys):
         g = random_gnm(60, 240, seed=derive_seed(1, 60, 240, 0))
@@ -332,12 +332,12 @@ class TestExperiment:
         ],
     )
     def test_oracle_timeouts_are_reported(self, kind, line, capsys):
-        # the seed-3 runs need 901 and 886 search nodes: 890 excludes the first
+        # the seed-3 runs need 549 and 568 search nodes: 560 excludes the second
         nodes = [exact_mis(random_gnm(90, 360, derive_seed(3, 90, 360, r))).nodes
                  for r in range(2)]
-        assert nodes == [901, 886]
+        assert nodes == [549, 568]
         args = ["experiment", kind, "--n", "90", "--m", "4n", "--algos", "a1",
-                "--runs", "2", "--seed", "3", "--max-nodes", "890"]
+                "--runs", "2", "--seed", "3", "--max-nodes", "560"]
         assert main(args) == 0
         assert capsys.readouterr().out == line
 

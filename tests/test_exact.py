@@ -49,6 +49,17 @@ def graphs(draw, max_n):
 
 
 @st.composite
+def dense_graphs(draw, max_n=16):
+    """Graphs of at most ``max_n`` vertices missing at most a quarter of
+    their vertex pairs, complete ones included."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    missing = set(draw(st.lists(st.sampled_from(pairs), unique=True,
+                                max_size=len(pairs) // 4))) if pairs else set()
+    return Graph(n, [p for p in pairs if p not in missing])
+
+
+@st.composite
 def padded(draw, max_n=12):
     """``(g, slot, big)``: a small graph ``g`` whose vertex v is ``slot[v]``
     of ``big``, which has at least RELABEL_MIN_N vertices; the vertices
@@ -65,6 +76,11 @@ class TestExactMis:
 
     def test_complete(self):
         assert exact_mis(complete(7)).alpha == 1
+        # with no set found yet the cover cannot prune, so the first descent
+        # branches on K_n down to its last edge: n - 1 nodes, none pruned
+        for n in (3, 7, 25):
+            res = exact_mis(complete(n))
+            assert (res.nodes, res.bound_prunes) == (n - 1, 0)
 
     def test_cycle(self):
         assert exact_mis(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])).alpha == 2
@@ -79,15 +95,36 @@ class TestExactMis:
         assert exact_mis(Graph(0), max_nodes=1).witness == ()
 
 
+class TestSearchOrder:
+    def test_petersen_is_searched_exclude_first(self):
+        # Every vertex has degree 3.  Node 2 branches on 0 and stacks {0}
+        # for later; node 3 branches on 2, now the lowest of degree 3, and
+        # stacks {2}.  Excluding 2 leaves 1 with one neighbour, 6: take 1,
+        # drop 6, which leaves the 6-cycle 3-4-9-7-5-8.  Node 4 branches on
+        # 3 and stacks {1, 3}; excluding 3 leaves the path 4-9-7-5-8, taken
+        # as 4, 7 and 8, so the first leaf is {1, 4, 7, 8}.  The stacked
+        # {1, 3} and {2} end in leaves of size 4 by takes alone, {1, 3, 5, 9}
+        # and {2, 4, 5, 6}, no larger.  The stacked {0} leaves the 6-cycle
+        # 2-3-8-6-9-7, which the cover {2, 3}, {6, 8}, {7, 9} prunes: 1 + 3
+        # cannot beat 4.  Searched include first, the same graph took 5
+        # nodes, pruned nothing and returned {0, 2, 8, 9}.
+        res = exact_mis(PETERSEN)
+        assert (res.witness, res.nodes, res.bound_prunes) == ((1, 4, 7, 8), 4, 1)
+
+
 class TestNodeBudget:
     def test_complete_graph_boundary(self):
-        # K5: the root includes 0 (one child), then the clique cover of the
-        # other four vertices prunes its exclude branch
+        # K5: no set is found before the first leaf, so the cover cannot
+        # prune on the way down.  The root branches on 0 (node 2): it stacks
+        # {0} and excludes 0; node 3 branches on 1 and node 4 on 2 the same
+        # way, which leaves the edge 3-4: take 3, drop 4, and {3} is the
+        # first leaf.  The stacked {2}, {1} and {0} have no vertex left, so
+        # each is a leaf of size 1, no larger than {3}, and nothing is pruned
         res = exact_mis(complete(5))
-        assert (res.nodes, res.bound_prunes) == (2, 1)
-        assert exact_mis(complete(5), max_nodes=2).alpha == 1
-        with pytest.raises(OracleTimeout, match="after 1 search nodes"):
-            exact_mis(complete(5), max_nodes=1)
+        assert (res.witness, res.nodes, res.bound_prunes) == ((3,), 4, 0)
+        assert exact_mis(complete(5), max_nodes=4).alpha == 1
+        with pytest.raises(OracleTimeout, match="after 3 search nodes"):
+            exact_mis(complete(5), max_nodes=3)
 
     def test_edgeless_needs_one_node(self):
         assert exact_mis(Graph(9), max_nodes=1).alpha == 9
@@ -126,13 +163,13 @@ class TestCliqueCover:
     def test_disjoint_triangles_solve_within_a_small_budget(self):
         # the size bound alone sees 3 vertices per triangle and branches
         # through a tree of more than 10**6 nodes; one clique per triangle
-        # prunes every exclude branch
+        # prunes every include branch once the first descent has a set
         res = exact_mis(disjoint_triangles(20), max_nodes=100)
         assert res.alpha == 20
         assert (res.nodes, res.bound_prunes) == (21, 19)
 
     def test_search_deeper_than_the_recursion_limit(self):
-        # 1001 include branches in a row: deeper than Python's default
+        # 1001 branches in a row: deeper than Python's default
         # recursion limit, which a recursive search could not reach
         g = disjoint_triangles(1001)
         res = exact_mis(g, max_nodes=2000)
@@ -141,10 +178,11 @@ class TestCliqueCover:
         assert (res.nodes, res.bound_prunes) == (1002, 1000)
 
     def test_deep_stack_memory(self):
-        # node 1001 is the last include branch of the first descent, so the
-        # budget stops the search with 1000 states stacked.  Each holds two
-        # planes of 3003 bits besides its masks; one 3003-entry degree list
-        # per state took 23.9 MiB.  (The whole solve is far slower traced.)
+        # the first descent branches once per triangle, at nodes 2..1002, so
+        # the budget stops it before its last branch with 1000 include
+        # states stacked.  Each holds two planes of 3003 bits besides its
+        # masks; one 3003-entry degree list per state took 23.9 MiB.  (The
+        # whole solve is far slower traced.)
         g = disjoint_triangles(1001)
         tracemalloc.start()
         try:
@@ -232,6 +270,14 @@ class TestBruteForce:
 
 
 class TestAgreement:
+    @settings(max_examples=80, deadline=None)
+    @given(dense_graphs())
+    def test_exact_matches_brute_force_on_dense_graphs(self, g):
+        # the first descent runs longest without a set to prune against here
+        res = exact_mis(g)
+        assert res.alpha == brute_force_mis(g).alpha
+        assert is_independent(g, res.witness)
+
     def test_exact_matches_brute_force_on_seeded_sweep(self):
         rng = SplitMix64(404)
         for _ in range(300):
@@ -300,24 +346,26 @@ REFERENCE_ALPHA_DIGEST = "29a7ed0b047e5a046cb4a3a6d11272226f5651522bce49edd2c5bd
 
 
 # SHA-256 of exact_mis witnesses over seeded G(n, m) cells, n beyond the
-# brute-force range.  The n <= 40 digests were recorded from the search
-# before the clique-cover bound went in, so a bound or reordering that moves
-# a single witness fails here rather than only against a rerun of itself.
-# The n >= 50 digests were re-recorded when those graphs began to be
-# searched in smallest-last order; every moved witness was checked to be
-# independent and of the old size.
+# brute-force range, so a bound or reordering that moves a single witness
+# fails here rather than only against a rerun of itself.  Each digest was
+# recorded from an earlier search and re-recorded only where the search
+# order changed: the n >= 50 cells for the smallest-last relabel, then
+# every cell when the exclude child began to be searched first.  Each time,
+# every moved witness was checked against the previous search to be
+# independent and of the old size, and the second time also against
+# tests/reference.py::clique_alpha.
 GOLDEN_WITNESSES = {
-    (20, 80, 50): "40f19d7be462242623302048020b38f6afccd4766c64bd5360431c29557681c3",
-    (30, 120, 40): "5cfbd3cbce3c75e93efcd1accba138934e694167000fdf1ddaa721d627616013",
-    (40, 160, 30): "b2d28ab3f80b58efdf00ef356259a14555cdb52fd9367b89605d05a374059294",
-    (60, 240, 12): "51709913183bdc429659f3a59694e7c098312e0df3107938b5fb4decf0f908e9",
-    (80, 320, 6): "a1653903b77f2abe613db1ee4d01a456e20d7dd03b31cf9f625db23a2d39062b",
-    (30, 217, 20): "15ca2f17fba4d5293345d198a9ededb5ee73d53f3d44c03864a0bd3fe3e2fa36",
-    (40, 390, 12): "e9f52b34bcf34635e79d053ba459070b5a391298f95c382d2b76b9e511659eb1",
-    (50, 600, 10): "81d87ca3dab1635d7f9a8f811fd9c997b99d9fa7d8aa67ab0686953b51c691d5",
-    (40, 40, 20): "efa4bcb521ed35c4375e725446b56eabc36185130582136280bc32b2c324f1d3",
-    (60, 90, 12): "2b6f4ad1c2f9dfb3744c619cf311e103787333a52ceabdecc42a0c75ae2a26d2",
-    (60, 120, 12): "56767116100b341c9d7283f915144a47b05b58e0ef45422e231730a09824ef36",
+    (20, 80, 50): "663927f2424a9f85e47bc743c7821375a61ad7b8d6a429dca55dd532d7bc03d7",
+    (30, 120, 40): "100fc512ef0d6afb468453e922121c3ab446663c1ce9bc13fdc46ebbf277b993",
+    (40, 160, 30): "5588caef24d8500642058becdb6a0c95bc1926a98d3d3975f60be68f312b9b92",
+    (60, 240, 12): "953cd8ae95bdff043a7021afb963e0f1b71661a4d1431d91648f652800f88194",
+    (80, 320, 6): "1d4e6548e7072acca74a4b3eb0dfaf06b87cd6d8b9b296f88a310d57ffb725b1",
+    (30, 217, 20): "491913332e52476e61d632504121b832e69d76692109aa0e8388e4352f205f0f",
+    (40, 390, 12): "a78929a88e483675b8a3dc313b46f20092193e7e4104c4ab1f2fad0dcf06a456",
+    (50, 600, 10): "1e50bb5ad838b4693665fdac179dd609236492dc6e2c8d9e42b104bf69c4f37f",
+    (40, 40, 20): "905a68d044acee7eeef070fcaa00bc3932610a1a15fb3b08f8e8dc3bd08afb22",
+    (60, 90, 12): "99aa40323018887eb53b8270889e011c83714d4abc8d63e6b46ca53a0eecdc78",
+    (60, 120, 12): "5309fb7a5f3a7613258c04b7487af52d91bd7e0f38c4ecf20a92948c222cddc4",
 }
 
 
@@ -335,19 +383,19 @@ def test_golden_witnesses(n, m, runs):
 # digests were recorded from the search that rescanned avail at every node,
 # before the degrees were kept across takes and branches, so a change to
 # the take order, the branch vertex, the cover or the DFS order fails here
-# even where every witness stays the same.  The n >= 50 digests were
-# re-recorded with the smallest-last relabel, as for GOLDEN_WITNESSES.
+# even where every witness stays the same.  The digests were re-recorded
+# with the search order, as for GOLDEN_WITNESSES.
 GOLDEN_COUNTERS = {
     (12, 0, 3): "c1da16a6a834d09ffe764688ab320ecf5b39431e91c384e0d39c3bac719e1eab",
-    (12, 66, 3): "fcc28b60e145e4cd8e858136fffb4c138e198a8cedc7d63cca51dcf23f7864cc",
-    (20, 80, 50): "09a2ceccb01bbd4dada61f481fff39cb89b12806dc7a6851cbb45bb516db6135",
-    (25, 300, 20): "3ceb6528ba3b34f258affad657db878180ed90844a5f7682f42d2a1b4e0bf66e",
-    (30, 120, 40): "754f25768d7a6c36b269bda00dec3f3d64d64cb0948c4df32c70316992df0a6b",
-    (30, 217, 20): "d8fd8dd99cdc391adca6c0362e6e71643af72dd0743c229832643e93ee5cb222",
-    (40, 160, 30): "b3e8db29ad38a266ae07c456ac46da02dbd845313becf631caf906781c5ff11e",
-    (60, 90, 12): "98f832fbcdae5db007d5e13fc0de683cb39fca1c361b164999276706d491158c",
-    (60, 240, 12): "4f1a5aa943d205d7e4b0ac9c08cb955f42c0d28eb745c839b758de36a7f0cfee",
-    (80, 320, 6): "89abcea270e8659e521dfa144ed6db11d4b11a48013f61dff6e53f3ee8c5e5db",
+    (12, 66, 3): "0070fc530de831427f3ffd9577fb63d2b7056901acacfbb0745732300f6f060b",
+    (20, 80, 50): "48ce0e8a3dd503a5ae133da2fcfda905248a4a6de4c75551c746be13700037aa",
+    (25, 300, 20): "b18b2625eb1524a572808497a7cc394bf9f414bba30e5eb698fc12b1766dba05",
+    (30, 120, 40): "88ce98c90efadba0dc6b9f721975953956ac7da99a81507933e8d196befa837b",
+    (30, 217, 20): "b3bd1d4b726b4f7f61ccb6d50d2a1af84ff85d3bd25ffea7a41786e995c97e6f",
+    (40, 160, 30): "c1eb68a1321050b9e6091e5094fbaa07efb2b3fe360e6128eab96e648cc2c03e",
+    (60, 90, 12): "e682d793e3593f6db2d910a6fb5e255c1a73ef5052eca4b090e2be479bea56fd",
+    (60, 240, 12): "5b80be67d4b126727b15545d23dd952b4ac2b3433ec1b34f2baf8646315d5ccd",
+    (80, 320, 6): "55369a3121f092ad64a6fda098d9de1341c633217563296fd157e6bfde3705d6",
 }
 
 

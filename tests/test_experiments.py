@@ -186,22 +186,22 @@ class TestFailureExperiment:
         assert lines[1] == "90,360,0,a1,0,"
 
     def test_node_budget_is_deterministic_across_jobs_and_threads(self):
-        # a budget of 890 lies between the two runs' node counts, so it
+        # a budget of 560 lies between the two runs' node counts, so it
         # excludes exactly one, whatever the machine, pool or thread
         nodes = [exact_mis(random_gnm(90, 360, derive_seed(3, 90, 360, r))).nodes
                  for r in range(2)]
-        assert nodes == [901, 886]
+        assert nodes == [549, 568]
         cfg = ExperimentConfig((90,), "4n", parse_algorithms("a1"), 2, 3)
-        report = run_failure_experiment(cfg, oracle_max_nodes=890)
+        report = run_failure_experiment(cfg, oracle_max_nodes=560)
         (cell,) = report.cells
         assert 0 < cell.oracle_timeouts < cfg.runs
         serial = emit_csv(report)
-        pooled = run_failure_experiment(cfg, jobs=2, oracle_max_nodes=890)
+        pooled = run_failure_experiment(cfg, jobs=2, oracle_max_nodes=560)
         assert emit_csv(pooled) == serial
         out = []
 
         def off_main_thread():
-            out.append(emit_csv(run_failure_experiment(cfg, oracle_max_nodes=890)))
+            out.append(emit_csv(run_failure_experiment(cfg, oracle_max_nodes=560)))
 
         thread = threading.Thread(target=off_main_thread)
         thread.start()
@@ -230,13 +230,13 @@ class TestAccuracyExperiment:
 class TestWitnessFirstSeeding:
     def test_b2_work_falls_below_a_quarter(self):
         # counters, not clocks: stopping at alpha with the oracle's witness
-        # seeded first costs 2249 evals; the lexicographic order cost 21201
+        # seeded first costs 2548 evals; the lexicographic order cost 21201
         b2 = EngineConfig(Heuristic.B, 2)
         total = 0
         for r in range(40):
             g = random_gnm(30, 120, derive_seed(1, 30, 120, r))
             total += run_greedy(g, b2, target=exact_mis(g).witness).stats.heuristic_evals
-        assert total == 2249
+        assert total == 2548
 
     def test_oracle_worker_seeds_from_the_oracle_witness(self, monkeypatch):
         calls = []

@@ -137,19 +137,51 @@ MUTANTS = (
            "                        planes[i] = c ^ s\n"
            "                        s &= ~c\n",
            ("test_exact.py",)),
+    Mutant("include-carry-inverted", "exact.py",
+           "                    included[i] = c ^ s\n"
+           "                    s &= c\n",
+           "                    included[i] = c ^ s\n"
+           "                    s &= ~c\n",
+           ("test_exact.py",)),
     Mutant("exclude-carry-inverted", "exact.py",
-           "                excluded[i] = c ^ s\n"
-           "                s &= c\n",
-           "                excluded[i] = c ^ s\n"
-           "                s &= ~c\n",
+           "                planes[i] = c ^ s\n"
+           "                s &= c\n"
+           "                i += 1\n"
+           "        else:",
+           "                planes[i] = c ^ s\n"
+           "                s &= ~c\n"
+           "                i += 1\n"
+           "        else:",
            ("test_exact.py",)),
     Mutant("pending-from-wrong-plane", "exact.py",
            "pending = avail & planes[-1]",
            "pending = avail & planes[-2]",
            ("test_exact.py",)),
-    Mutant("exclude-planes-share-parent", "exact.py",
-           "            excluded = planes[:]\n",
-           "            excluded = planes\n",
+    Mutant("include-planes-share-parent", "exact.py",
+           "            included = planes[:]\n",
+           "            included = planes\n",
+           ("test_exact.py",)),
+    # the include child searched now and the exclude child stacked, as
+    # before the exclude-first order; alpha stays right, witnesses move
+    Mutant("include-first-order", "exact.py",
+           "            stack.append((left, chosen | low, included))\n"
+           "            # exclude child, searched now: the parent's planes, N(v) lowered\n"
+           "            s = nv\n"
+           "            i = 0\n"
+           "            while s:\n"
+           "                c = planes[i]\n"
+           "                planes[i] = c ^ s\n"
+           "                s &= c\n"
+           "                i += 1\n",
+           "            s = nv\n"
+           "            i = 0\n"
+           "            while s:\n"
+           "                c = planes[i]\n"
+           "                planes[i] = c ^ s\n"
+           "                s &= c\n"
+           "                i += 1\n"
+           "            stack.append((avail, chosen, planes))\n"
+           "            avail, chosen, planes = left, chosen | low, included\n",
            ("test_exact.py",)),
     Mutant("branch-tie-highest-id", "exact.py",
            "            low = cand & -cand\n"
