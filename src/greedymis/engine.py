@@ -45,9 +45,9 @@ adjacency checks for its common non-neighbors, though the engine inherits
 them, and a heuristic-b scoring additionally charges |U'|**2 checks for
 induced degrees plus |U'| for evaluating the stability terms.
 
-Heuristic-b keys are integers: with den = lcm(1..n) and weights[d] =
-den // (d + 1), a pool of order o whose vertices have induced degrees d_v
-has stability sum(o / (d_v + 1)) = o * sum(weights[d_v]) / den exactly, so
+Heuristic-b keys are integers: with L = lcm(1..n) and weights[d] =
+L // (d + 1), a pool of order o whose vertices have induced degrees d_v
+has stability sum(o / (d_v + 1)) = o * sum(weights[d_v]) / L exactly, so
 the engine compares o * sum(weights[d_v]) and never rounds.
 :func:`greedymis.heuristics.score` is the independent exact-rational
 reference for the same values.
@@ -61,12 +61,8 @@ the sum over U' is W minus the weights of v and of nv, with
 weights[dp[x]] swapped for weights[dp[x] - |N(x) ∩ nv|] for each x of U'
 next to nv (no vertex of U' is next to v).  That costs about |nv| steps
 plus one per correction, so the delta wins on sparse pools and loses on
-dense ones.  The rule, :func:`_delta_widths`, is fixed once per run from
-n and the mean degree: a pool of width w at edge density p has about
-e = w * p vertices next to a candidate, and the delta is taken when
-w >= 8 and e <= 1.1 * sqrt(w) - 1.  Those widths form one interval; on
-dense graphs, and at m = 4n up to n = 30, it is empty and an expanded set
-pays one integer comparison for the rule.
+dense ones; :func:`_delta_widths` fixes once per run the pool widths at
+which it is taken.
 """
 
 from __future__ import annotations
@@ -75,7 +71,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations
-from math import ceil, comb, floor, lcm, sqrt
+from math import comb, lcm, sqrt
 
 from .graph import Graph, VertexSet, degree_planes, mask_of, non_neighbors, to_vertex_set
 from .heuristics import Heuristic
@@ -179,38 +175,28 @@ def initial_generation(g: Graph, k: int) -> Generation:
 
 
 @lru_cache(maxsize=4)
-def _b_weights(n: int) -> tuple[int, tuple[int, ...]]:
-    """``(den, weights)`` of heuristic b's integer keys at order n, kept for
+def _b_weights(n: int) -> tuple[int, ...]:
+    """Heuristic b's integer weights lcm(1..n) // (d + 1) for d < n, kept for
     the last few orders: every b run at one order builds the same table."""
-    den = lcm(*range(1, n + 1))
-    return den, tuple(den // (d + 1) for d in range(n))
+    scale = lcm(*range(1, n + 1))
+    return tuple(scale // (d + 1) for d in range(n))
 
 
 @lru_cache(maxsize=4)
-def _delta_widths(n: int, degree_sum: int) -> tuple[int, int]:
-    """Pool widths ``(lo, hi)`` at which heuristic b takes its keys by delta.
+def _delta_widths(n: int, degree_sum: int) -> tuple[bool, ...]:
+    """``takes_delta[w]`` for w = 0..n: whether heuristic b takes its keys by
+    delta in a pool of width w.
 
     At edge density p = degree_sum / (n * (n - 1)), a candidate in a pool
     of width w has about e = w * p pool neighbours.  The delta costs about
     e steps plus its corrections, against w - e for the direct recount.
     Per-call timings on G(n, m), n = 20-80 (CPython 3.11, 2-core Xeon), put
-    the delta ahead from w = 8 while e <= 1.1 * sqrt(w) - 1, which holds on
-    one interval of w.  An empty interval is ``(n + 1, 0)``, so that its
-    first comparison rejects every width.  Cached, since the runs of an
-    experiment cell share n and, on G(n, m), the degree sum.
+    the delta ahead when w >= 8 and w * p <= 1.1 * sqrt(w) - 1.  Cached,
+    since the runs of an experiment cell share n and, on G(n, m), the
+    degree sum.
     """
     p = degree_sum / (n * (n - 1)) if n > 1 else 0.0
-    if not p:
-        return 8, n
-    # w * p <= 1.1 * s - 1 with s = sqrt(w): p*s*s - 1.1*s + 1 <= 0
-    disc = 1.21 - 4 * p
-    if disc >= 0:
-        root = sqrt(disc)
-        lo = max(8, ceil(((1.1 - root) / (2 * p)) ** 2))
-        hi = min(n, floor(((1.1 + root) / (2 * p)) ** 2))
-        if lo <= hi:
-            return lo, hi
-    return n + 1, 0
+    return tuple(w >= 8 and w * p <= 1.1 * sqrt(w) - 1 for w in range(n + 1))
 
 
 def _stepper(g: Graph, h: Heuristic, stats: RunStats) -> Callable[..., tuple[int, int]]:
@@ -226,10 +212,10 @@ def _stepper(g: Graph, h: Heuristic, stats: RunStats) -> Callable[..., tuple[int
     use_b = h is Heuristic.B
     if not use_b and 4 * degree_sum <= n * (n - 1):  # density <= 1/4
         return _a_stepper(n, adj, outside, stats)
-    lo, hi = n + 1, 0  # pool widths keyed by delta; none for a
+    takes_delta = (False,) * (n + 1)  # a's dense loop keys no pool by delta
     if use_b:
-        den, weights = _b_weights(n)
-        lo, hi = _delta_widths(n, degree_sum)
+        weights = _b_weights(n)
+        takes_delta = _delta_widths(n, degree_sum)
         dp = [0] * n  # induced degree in the pool, per pool vertex
         wp = [0] * n  # weights[dp[x]]
 
@@ -237,7 +223,7 @@ def _stepper(g: Graph, h: Heuristic, stats: RunStats) -> Callable[..., tuple[int
         width = pool.bit_count()
         stats.heuristic_evals += width
         checks = c * (n - c) + width * (c + 1) * (n - c - 1)
-        delta = lo <= width <= hi
+        delta = takes_delta[width]
         if delta:
             wsum = 0
             mm = pool
@@ -259,11 +245,6 @@ def _stepper(g: Graph, h: Heuristic, stats: RunStats) -> Callable[..., tuple[int
             if use_b:
                 o = u2.bit_count()
                 checks += o * o + o
-                # keys are capped by the edgeless value o*o*den; skipping
-                # candidates that cannot beat the incumbent never changes
-                # the selection (counters above are charged regardless)
-                if o * o * den <= best_key:
-                    continue
                 if delta:
                     gone = pool ^ u2  # v and its pool neighbours
                     total = wsum

@@ -36,22 +36,27 @@ prunes only against the best set so far, so a good one early is worth
 much of the tree: given the optimal set as its best at the root, the
 include-first search took 19,512 of its 30,373 nodes (n = 80, m = 4n,
 derive_seed(1, 80, 320, r), r < 60).  Nodes over those 60 graphs per n
-at m = 4n, and per-call time, exclude first over include first (median
-of 11 alternating rounds of tools/ab.py, 2-core Xeon, Python 3.11.7):
+at m = 4n, and per-call time exclude first over include first (median
+of 11 alternating rounds of tools/ab.py, 2-core Xeon, Python 3.11.7;
+BENCH_22.json holds the include-first nodes):
 
-    n               20     30     40     60     80      100
-    include first   569    1206   2679   7834   30373   113851
-    exclude first   608    932    2078   5397   23075   77103
-    time ratio      0.90   0.69   0.71   0.70   0.78    0.76
+    n            20     30     40     60     80      100
+    nodes        608    932    2078   5397   23075   77103
+    time ratio   0.90   0.69   0.71   0.70   0.78    0.76
 
 The n = 80 median fell from 492.5 to 318 nodes.  Dense cells gain as
 much: n = 40, m = 390 reads 0.67 and n = 80, m = 800 0.85; the sparse
-n = 60, m = 90 reads 0.95.  The complete graph loses: with no set to
-prune against, the descent branches down to the last edge, so K_n takes
-n - 1 nodes instead of 2, and K25 0.117 ms instead of 0.027 ms, a cost
-linear in n.  Some graphs take more nodes than before (22 of the 60 at
-n = 20, 8 at n = 80, up to twice as many), so a node budget chosen under
-the include-first order can exclude other runs than it did.
+n = 60, m = 90 reads 0.95.  Some graphs take more nodes than before (22
+of the 60 at n = 20, 8 at n = 80, up to twice as many), so a node budget
+chosen under the include-first order can exclude other runs than it did.
+
+The search starts with one vertex, bit 0, as its best set, which every
+graph with a vertex has.  The root's cover then prunes a complete graph
+at once, one node, where the exclude-first descent would branch down to
+its last edge (n - 1 nodes).  A witness moves only where alpha is 1, and
+a count only where the search would have found a one-vertex set first:
+over 60 graphs in each of 13 G(n, m) cells (n = 20-80, sparse to dense)
+no witness, node or prune count moved.
 
 A graph of at least RELABEL_MIN_N = 50 vertices is searched relabelled
 in smallest-last order (Matula & Beck, 1983): repeatedly remove a vertex
@@ -138,7 +143,7 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
             relabelled.append(row)
         adj = relabelled
     planes = _degree_planes(adj)
-    best_mask = 0
+    best_mask = g.full_mask & 1  # one vertex: a set to beat from the root on
     bound_prunes = 0
     nodes = 1  # search nodes entered so far, the root included
     stack = [(g.full_mask, 0, planes)]  # states still to search

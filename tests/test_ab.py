@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from greedymis import density_grid
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -28,8 +30,14 @@ def test_head_against_head():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert (out["base"], out["change"], out["rounds"]) == ("HEAD", "HEAD", 1)
-    assert list(out["cells"]) == ["n=20 m=80", "n=25 m=300"]
-    for cell in out["cells"].values():
-        assert cell["base_nodes"] == cell["change_nodes"] > 0
+    members = [f"{a} target n=20 m=80" for a in ("a1", "b1", "a2", "b2")]
+    members += [f"{a} target n=30 m=120" for a in ("a1", "a2", "b2")]
+    members += [f"{a} full n=40 m={m}" for m in density_grid(40) for a in ("a1", "b1")]
+    assert list(out["cells"]) == ["n=20 m=80", "n=25 m=300", *members]
+    for label, cell in out["cells"].items():
+        if label in members:
+            assert len(cell["digest"]) == 64
+        else:
+            assert cell["base_nodes"] == cell["change_nodes"] > 0
         assert len(cell["base_ms"]) == len(cell["change_ms"]) == 1
         assert cell["change_wins"] in (0, 1)

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -504,13 +505,26 @@ class TestDeltaKeys:
     """Heuristic b's keys taken as deltas from the pool's induced degrees."""
 
     def test_rule_takes_sparse_pools_only(self):
-        assert _delta_widths(40, 2 * 40) == (8, 40)
-        lo, hi = _delta_widths(40, 2 * 130)
-        assert 8 == lo < hi < 40
-        assert _delta_widths(40, 0) == (8, 40)  # edgeless
+        def taken(n, m):
+            table = _delta_widths(n, 2 * m)
+            assert len(table) == n + 1
+            return [w for w, t in enumerate(table) if t]
+
+        assert taken(40, 40) == taken(40, 0) == list(range(8, 41))  # and edgeless
+        widths = taken(40, 130)
+        assert widths == list(range(8, widths[-1] + 1)) and widths[-1] < 40
         # dense graphs, and m = 4n up to n = 30: no width qualifies
         for n, m in ((40, 390), (40, 780), (20, 80), (30, 120)):
-            assert _delta_widths(n, 2 * m) == (n + 1, 0), (n, m)
+            assert taken(n, m) == [], (n, m)
+        # each entry is w >= 8 and w * p <= 1.1 * sqrt(w) - 1, here squared
+        # and taken exactly: the right side is positive from w = 8 on
+        cells = [(n, k * n) for n in (9, 20, 30, 60, 80) for k in (0, 1, 2, 4)]
+        cells += [(40, m) for m in (40, 65, 80, 130, 195, 260, 390, 520, 650, 780)]
+        for n, m in cells:
+            p = Fraction(2 * m, n * (n - 1))
+            expected = tuple(w >= 8 and (w * p + 1) ** 2 <= Fraction(121, 100) * w
+                             for w in range(n + 1))
+            assert _delta_widths(n, 2 * m) == expected, (n, m)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_chains_agree_with_public_score(self, k):
@@ -519,11 +533,11 @@ class TestDeltaKeys:
         delta_steps = 0
         for n, m in SPARSE:
             g = random_gnm(n, m, seed=derive_seed(19, n, m, k))
-            lo, hi = _delta_widths(n, 2 * m)
+            takes_delta = _delta_widths(n, 2 * m)
             seeds = initial_generation(g, k).sets
             for s in seeds[:: len(seeds) // 3][:3]:
                 while pool := non_neighbors(g, s):
-                    delta_steps += lo <= len(pool) <= hi
+                    delta_steps += takes_delta[len(pool)]
                     out = expand_generation(g, Generation((s,), len(s)), B, RunStats())
                     best_v = -max((score(g, s, v, B), -v) for v in pool)[1]
                     assert out.sets == (tuple(sorted(s + (best_v,))),), (n, m, s)

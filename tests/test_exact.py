@@ -76,11 +76,11 @@ class TestExactMis:
 
     def test_complete(self):
         assert exact_mis(complete(7)).alpha == 1
-        # with no set found yet the cover cannot prune, so the first descent
-        # branches on K_n down to its last edge: n - 1 nodes, none pruned
+        # the search starts with vertex 0 as its best set, so the root's
+        # cover, one clique, prunes K_n at once: one node, one prune
         for n in (3, 7, 25):
             res = exact_mis(complete(n))
-            assert (res.nodes, res.bound_prunes) == (n - 1, 0)
+            assert (res.witness, res.nodes, res.bound_prunes) == ((0,), 1, 1)
 
     def test_cycle(self):
         assert exact_mis(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])).alpha == 2
@@ -114,17 +114,21 @@ class TestSearchOrder:
 
 class TestNodeBudget:
     def test_complete_graph_boundary(self):
-        # K5: no set is found before the first leaf, so the cover cannot
-        # prune on the way down.  The root branches on 0 (node 2): it stacks
-        # {0} and excludes 0; node 3 branches on 1 and node 4 on 2 the same
-        # way, which leaves the edge 3-4: take 3, drop 4, and {3} is the
-        # first leaf.  The stacked {2}, {1} and {0} have no vertex left, so
-        # each is a leaf of size 1, no larger than {3}, and nothing is pruned
+        # K5: the search starts with {0} as its best set.  The root has no
+        # vertex of degree <= 1 to take, and its cover grows one clique from
+        # 0 that holds all five vertices: 0 + 1 cannot beat 1, so the root
+        # is pruned before it branches.  The root is the only node, and the
+        # smallest budget, 1, finishes the search
         res = exact_mis(complete(5))
-        assert (res.witness, res.nodes, res.bound_prunes) == ((3,), 4, 0)
-        assert exact_mis(complete(5), max_nodes=4).alpha == 1
+        assert (res.witness, res.nodes, res.bound_prunes) == ((0,), 1, 1)
+        assert exact_mis(complete(5), max_nodes=1).alpha == 1
+        with pytest.raises(ValueError, match="max_nodes must be >= 1"):
+            exact_mis(complete(5), max_nodes=0)
+        # the Petersen graph takes 4 nodes (TestSearchOrder's trace): a
+        # budget of 4 finishes it, and 3 stops it on entering node 4
+        assert exact_mis(PETERSEN, max_nodes=4).alpha == 4
         with pytest.raises(OracleTimeout, match="after 3 search nodes"):
-            exact_mis(complete(5), max_nodes=3)
+            exact_mis(PETERSEN, max_nodes=3)
 
     def test_edgeless_needs_one_node(self):
         assert exact_mis(Graph(9), max_nodes=1).alpha == 9
@@ -384,12 +388,13 @@ def test_golden_witnesses(n, m, runs):
 # before the degrees were kept across takes and branches, so a change to
 # the take order, the branch vertex, the cover or the DFS order fails here
 # even where every witness stays the same.  The digests were re-recorded
-# with the search order, as for GOLDEN_WITNESSES.
+# with the search order, as for GOLDEN_WITNESSES, and the two complete
+# cells again when the search began with one vertex as its best set.
 GOLDEN_COUNTERS = {
     (12, 0, 3): "c1da16a6a834d09ffe764688ab320ecf5b39431e91c384e0d39c3bac719e1eab",
-    (12, 66, 3): "0070fc530de831427f3ffd9577fb63d2b7056901acacfbb0745732300f6f060b",
+    (12, 66, 3): "efd99292687961c252a459e09c91e77d66b3200a16e69b7e86ad0848945986df",
     (20, 80, 50): "48ce0e8a3dd503a5ae133da2fcfda905248a4a6de4c75551c746be13700037aa",
-    (25, 300, 20): "b18b2625eb1524a572808497a7cc394bf9f414bba30e5eb698fc12b1766dba05",
+    (25, 300, 20): "fc38e2449e77f54de85879e334132ceec57838ef09405fa4f5f5c9eafda2f152",
     (30, 120, 40): "88ce98c90efadba0dc6b9f721975953956ac7da99a81507933e8d196befa837b",
     (30, 217, 20): "b3bd1d4b726b4f7f61ccb6d50d2a1af84ff85d3bd25ffea7a41786e995c97e6f",
     (40, 160, 30): "c1eb68a1321050b9e6091e5094fbaa07efb2b3fe360e6128eab96e648cc2c03e",

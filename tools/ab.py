@@ -1,4 +1,5 @@
-"""Per-call A/B timing of ``exact_mis`` between two revisions of the package.
+"""Per-call A/B timing of ``exact_mis`` and the greedy members between two
+revisions of the package.
 
 Each side's ``src/greedymis`` is extracted into a temporary directory
 under its own package name, ``ab_base`` and ``ab_change``, so both import
@@ -6,27 +7,41 @@ side by side in one process (the package imports itself relatively).  A
 revision is anything ``git archive`` takes; ``worktree`` copies the
 working tree's ``src/greedymis`` instead.  Each side builds its own
 graphs, ``random_gnm(n, m, seed=derive_seed(1, n, m, r))`` for r below
-``--graphs``, and the tool first checks that alpha is equal on every
-graph of every cell (witnesses and node counts may differ).  It then
-times ``exact_mis`` over each cell's graphs in ``--rounds`` rounds,
-base first in even rounds and change first in odd ones, and prints one
-JSON object: per cell, the per-call milliseconds of each round, their
-medians, the ratio change / base of the medians, the rounds the change
-won and each side's total search nodes.
+the cell's graph count, and the tool times two sections:
+
+* the oracle: ``exact_mis`` on ``--graphs`` graphs per ``--cells`` cell.
+  Alpha must be equal on every graph; witnesses and node counts may
+  differ.
+* the members: ``run_greedy`` in target mode, with each side's own
+  ``exact_mis`` witness as the target, for a1, b1, a2 and b2 on
+  n=20 m=80 and a1, a2 and b2 on n=30 m=120 (``--graphs`` graphs each),
+  and in full mode for a1 and b1 on the 12 ``density_grid(40)`` cells
+  (a fifth of ``--graphs``, at least one, each).  The SHA-256 of every
+  run's witness, counters, generation sizes and ``complete`` must be
+  equal on both sides, so a change that moves an oracle witness fails
+  the target cells.
+
+It then times every cell over its graphs in ``--rounds`` rounds, base
+first in even rounds and change first in odd ones, and prints one JSON
+object: per cell, the per-call milliseconds of each round, their medians
+and the base's quartiles, the ratio change / base of the medians, the
+rounds the change won, and each side's total search nodes (oracle) or
+the shared run digest (members).
 
 Run from the repository root, or anywhere inside the checkout::
 
     python tools/ab.py                          # HEAD against the working tree
     python tools/ab.py --base HEAD~1 --change HEAD --rounds 11
-    python tools/ab.py --cells 80:320,25:300    # n:m cells
+    python tools/ab.py --cells 80:320,25:300    # n:m oracle cells
 
-It exits 1 when an alpha differs.  The default 7 rounds over the ten
-default cells take about two minutes on one core.
+It exits 1 when an alpha or a member digest differs.  The default 7
+rounds take about two minutes on one core (2-core Xeon, Python 3.11.7).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib
 import io
 import json
@@ -37,6 +52,7 @@ import sys
 import tarfile
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,6 +61,9 @@ SEED = 1
 # m = 4n from n = 20 to 100; then K25, two dense cells and a sparse one
 CELLS = ((20, 80), (30, 120), (40, 160), (60, 240), (80, 320), (100, 400),
          (25, 300), (40, 390), (60, 90), (80, 800))
+# members run to each side's own oracle witness, then full over density_grid
+TARGET_CELLS = (("a1,b1,a2,b2", 20, 80), ("a1,a2,b2", 30, 120))
+FULL_N, FULL_MEMBERS = 40, "a1,b1"
 
 
 def extract(rev: str, dest: Path, name: str) -> None:
@@ -76,42 +95,84 @@ def cell_graphs(pkg, n: int, m: int, count: int) -> list:
     return [pkg.random_gnm(n, m, seed=derive_seed(SEED, n, m, r)) for r in range(count)]
 
 
-def per_call_ms(exact_mis, graphs) -> float:
+def oracle_cells(pkg, cells, count: int) -> dict:
+    """Per cell: the calls to time, the alphas that must agree, the node total."""
+    out = {}
+    for n, m in cells:
+        graphs = cell_graphs(pkg, n, m, count)
+        res = [pkg.exact_mis(g) for g in graphs]
+        out[f"n={n} m={m}"] = ([partial(pkg.exact_mis, g) for g in graphs],
+                               [r.alpha for r in res], sum(r.nodes for r in res))
+    return out
+
+
+def run_digest(results) -> str:
+    h = hashlib.sha256()
+    for res in results:
+        s = res.stats
+        h.update(f"{res.witness}:{s.heuristic_evals}:{s.adjacency_checks}:"
+                 f"{s.generation_sizes}:{res.complete}\n".encode())
+    return h.hexdigest()
+
+
+def member_cells(pkg, count: int) -> dict:
+    """Per member cell: the calls to time and the digest that must agree."""
+    runs = {}
+    for names, n, m in TARGET_CELLS:
+        graphs = cell_graphs(pkg, n, m, count)
+        targets = [pkg.exact_mis(g).witness for g in graphs]
+        for cfg in pkg.parse_algorithms(names):
+            runs[f"{cfg.name} target n={n} m={m}"] = [
+                partial(pkg.run_greedy, g, cfg, target=w) for g, w in zip(graphs, targets)]
+    for m in pkg.density_grid(FULL_N):
+        graphs = cell_graphs(pkg, FULL_N, m, max(count // 5, 1))
+        for cfg in pkg.parse_algorithms(FULL_MEMBERS):
+            runs[f"{cfg.name} full n={FULL_N} m={m}"] = [
+                partial(pkg.run_greedy, g, cfg) for g in graphs]
+    return {label: (calls, run_digest(c() for c in calls)) for label, calls in runs.items()}
+
+
+def per_call_ms(calls) -> float:
     start = time.perf_counter()
-    for g in graphs:
-        exact_mis(g)
-    return (time.perf_counter() - start) * 1e3 / len(graphs)
+    for call in calls:
+        call()
+    return (time.perf_counter() - start) * 1e3 / len(calls)
 
 
 def compare(base, change, cells, count: int, rounds: int) -> dict:
     sides = (base, change)
-    graphs = {c: [cell_graphs(p, *c, count) for p in sides] for c in cells}
+    oracle = [oracle_cells(p, cells, count) for p in sides]
+    members = [member_cells(p, count) for p in sides]
     report = {}
-    for cell, (gb, gc) in graphs.items():
-        rb = [base.exact_mis(g) for g in gb]
-        rc = [change.exact_mis(g) for g in gc]
-        moved = [r for r, (x, y) in enumerate(zip(rb, rc)) if x.alpha != y.alpha]
+    for label in oracle[0]:
+        (cb, alphas_b, nodes_b), (cc, alphas_c, nodes_c) = oracle[0][label], oracle[1][label]
+        moved = [r for r, (x, y) in enumerate(zip(alphas_b, alphas_c)) if x != y]
         if moved:
-            raise SystemExit(f"alpha differs at n={cell[0]} m={cell[1]}, graphs {moved}")
-        report[cell] = {"nodes": [sum(x.nodes for x in rb), sum(y.nodes for y in rc)],
-                        "ms": ([], [])}
+            raise SystemExit(f"alpha differs at {label}, graphs {moved}")
+        report[label] = ((cb, cc), {"base_nodes": nodes_b, "change_nodes": nodes_c})
+    for label in members[0]:
+        (cb, db), (cc, dc) = members[0][label], members[1][label]
+        if db != dc:
+            raise SystemExit(f"member digest differs at {label}")
+        report[label] = ((cb, cc), {"digest": db})
+    ms = {label: ([], []) for label in report}
     for i in range(rounds):
         order = (0, 1) if i % 2 == 0 else (1, 0)
-        for cell in cells:
+        for label, (calls, _) in report.items():
             for s in order:
-                ms = per_call_ms(sides[s].exact_mis, graphs[cell][s])
-                report[cell]["ms"][s].append(round(ms, 4))
+                ms[label][s].append(round(per_call_ms(calls[s]), 4))
     out = {}
-    for (n, m), rec in report.items():
-        mb, mc = rec["ms"]
+    for label, (_, extra) in report.items():
+        mb, mc = ms[label]
         med_b, med_c = statistics.median(mb), statistics.median(mc)
-        out[f"n={n} m={m}"] = {
+        q1, _, q3 = statistics.quantiles(mb, n=4) if len(mb) > 1 else mb * 3
+        out[label] = {
             "base_ms_median": round(med_b, 4),
             "change_ms_median": round(med_c, 4),
             "ratio": round(med_c / med_b, 3),
             "change_wins": sum(c < b for b, c in zip(mb, mc)),
-            "base_nodes": rec["nodes"][0],
-            "change_nodes": rec["nodes"][1],
+            "base_ms_quartiles": [round(q1, 4), round(q3, 4)],
+            **extra,
             "base_ms": mb,
             "change_ms": mc,
         }
@@ -128,8 +189,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--change", default="worktree",
                     help="git revision, or worktree (the default)")
     ap.add_argument("--rounds", type=int, default=7)
-    ap.add_argument("--graphs", type=int, default=60, help="graphs per cell")
-    ap.add_argument("--cells", type=parse_cells, default=CELLS, help="n:m,n:m,...")
+    ap.add_argument("--graphs", type=int, default=60,
+                    help="graphs per oracle and target cell; a fifth per full cell")
+    ap.add_argument("--cells", type=parse_cells, default=CELLS, help="oracle cells n:m,n:m,...")
     args = ap.parse_args(argv)
     if args.rounds < 1 or args.graphs < 1:
         ap.error("--rounds and --graphs must be at least 1")

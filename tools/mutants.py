@@ -46,19 +46,6 @@ MUTANTS = (
            "            if key > best_key:\n",
            "            if key >= best_key:\n",
            ("test_engine.py",)),
-    # dropped: the b cap `<=` -> `<` is equivalent, since a capped key can
-    # only tie the incumbent and a tie never replaces it.
-    Mutant("b-charge-after-cap", "engine.py",
-           "                checks += o * o + o\n"
-           "                # keys are capped by the edgeless value o*o*den; skipping\n"
-           "                # candidates that cannot beat the incumbent never changes\n"
-           "                # the selection (counters above are charged regardless)\n"
-           "                if o * o * den <= best_key:\n"
-           "                    continue\n",
-           "                if o * o * den <= best_key:\n"
-           "                    continue\n"
-           "                checks += o * o + o\n",
-           ("test_engine.py",)),
     Mutant("pool-charge", "engine.py",
            "checks = c * (n - c) + ",
            "checks = c * (n - c - 1) + ",
@@ -80,12 +67,17 @@ MUTANTS = (
            "~a",
            ("test_engine.py",)),
     Mutant("b-weights", "engine.py",
-           "den, tuple(den // (d + 1) ",
-           "den, tuple(den // (d + 2) ",
+           "tuple(scale // (d + 1) ",
+           "tuple(scale // (d + 2) ",
            ("test_engine.py",)),
     Mutant("seed-filter-skipped", "engine.py",
            "            if blocked >> v & 1:\n",
            "            if False:\n",
+           ("test_engine.py",)),
+    # the width rule moves no output, but its tests read the table
+    Mutant("delta-floor-moved", "engine.py",
+           "(w >= 8 and w * p <= 1.1 * sqrt(w) - 1 for w ",
+           "(w >= 9 and w * p <= 1.1 * sqrt(w) - 1 for w ",
            ("test_engine.py",)),
     Mutant("delta-corrections-dropped", "engine.py",
            "                    while near:\n",
@@ -123,6 +115,10 @@ MUTANTS = (
            "            if c > stop:\n",
            ("test_engine.py",)),
     # --- exact oracle ---------------------------------------------------
+    Mutant("incumbent-empty", "exact.py",
+           "best_mask = g.full_mask & 1 ",
+           "best_mask = 0 ",
+           ("test_exact.py",)),
     Mutant("cover-prune-removed", "exact.py",
            "            if not rest:\n",
            "            if False:\n",
