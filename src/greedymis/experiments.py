@@ -22,7 +22,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, log
+from math import comb, log
 
 from .engine import EngineConfig, run_greedy
 from .exact import OracleTimeout, exact_mis
@@ -213,8 +213,9 @@ def _counter_worker(args):
 # bound at the first pooled call: importing it loads multiprocessing, which
 # ``import greedymis`` and serial runs never need
 ProcessPoolExecutor = None
-_pool: tuple[int, ProcessPoolExecutor] | None = None  # (workers, pool), kept for the process
-_pool_lock = threading.Lock()  # held across get-or-replace and the whole map
+_pool: tuple | None = None  # (workers, pool, run counter), kept for the process
+_pool_lock = threading.Lock()  # held across get-or-replace and the whole call
+_claim = None  # in a pool worker: the run counter its pool shares
 
 
 def _forget_pool() -> None:
@@ -235,27 +236,73 @@ def _drop_pool() -> None:
     _pool = None
 
 
-def _kept_pool(jobs: int) -> ProcessPoolExecutor:
-    """The kept pool at ``jobs`` workers, started or replaced as needed; hold the lock."""
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (``taskset`` narrows it), else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _set_claim(counter) -> None:
+    """Pool initializer: keep the pool's shared run counter in the worker."""
+    global _claim
+    _claim = counter
+
+
+def _drain(worker, argslist):
+    """In a pool worker: claim run indices from the shared counter until it
+    passes the end; return ``[(index, result), ...]`` in one reply."""
+    done = []
+    while True:
+        with _claim.get_lock():
+            i = _claim.value
+            _claim.value = i + 1
+        if i >= len(argslist):
+            return done
+        done.append((i, worker(argslist[i])))
+
+
+def _kept_pool(jobs: int):
+    """The kept pool at ``jobs`` workers and its run counter, started or
+    replaced as needed; hold the lock."""
     global _pool
     if _pool is not None and _pool[0] != jobs:
         _pool[1].shutdown(wait=True)
         _pool = None
     if _pool is None:
-        _pool = jobs, ProcessPoolExecutor(max_workers=jobs)
-    return _pool[1]
+        from multiprocessing import Value
+
+        counter = Value("q", 0)
+        pool = ProcessPoolExecutor(max_workers=jobs, initializer=_set_claim, initargs=(counter,))
+        _pool = jobs, pool, counter
+    return _pool[1:]
+
+
+def _start_drains(jobs: int, worker, argslist):
+    """Reset the kept pool's counter and submit one drain per worker; hold the lock."""
+    pool, counter = _kept_pool(jobs)
+    counter.value = 0
+    return counter, [pool.submit(_drain, worker, argslist) for _ in range(jobs)]
 
 
 def _map_runs(worker, argslist, jobs: int):
     """``[worker(a) for a in argslist]``, on at most ``jobs`` processes.
 
-    The worker count is capped at the run count and at ``os.cpu_count()``.
-    A call left with one worker runs in-process and imports no process
-    machinery.  The process pool is started at the first call that needs
-    more than one worker and kept for the life of the process, so repeated pooled
-    experiments in one process skip its start-up; its idle workers keep
-    their memory meanwhile.  A call with a different worker count shuts it
-    down and starts a new one.  A call during which a worker dies raises
+    The worker count is capped at the run count and at the CPUs this
+    process may use (its affinity mask, else ``os.cpu_count()``).  A call
+    left with one worker runs in-process and imports no process machinery.
+    Otherwise each worker gets one task, which claims run after run from a
+    counter the pool's workers share and sends all its results back in one
+    message, so load balances run by run at one round trip per worker.
+    The counter is reset at the start of each call; before the call
+    returns or raises, it is moved past the end and every task is waited
+    for, so no task of this call can take a run of the next.  The process
+    pool is started at the first call that needs more than one worker and
+    kept for the life of the process, so repeated pooled experiments in
+    one process skip its start-up; its idle workers keep their memory
+    meanwhile.  A call with a different worker count shuts it down and
+    starts a new one.  A call during which a worker dies raises
     ``BrokenProcessPool``; a pool found broken at submit (a worker died
     since the last call) is replaced and the call goes on.  A forked child
     starts its own pool.  ``concurrent.futures`` reaps the workers at
@@ -264,21 +311,28 @@ def _map_runs(worker, argslist, jobs: int):
     order at any ``jobs``.
     """
     global _pool, ProcessPoolExecutor
-    jobs = min(jobs, len(argslist), os.cpu_count() or 1)  # the pool starts all up front
+    jobs = min(jobs, len(argslist), _usable_cpus())  # the pool starts all up front
     if jobs <= 1:
         return [worker(a) for a in argslist]
-    from concurrent.futures import process
+    from concurrent.futures import as_completed, process, wait
 
     if ProcessPoolExecutor is None:
         ProcessPoolExecutor = process.ProcessPoolExecutor
-    chunk = ceil(len(argslist) / (8 * jobs))  # at most eight chunks per worker
+    results = [None] * len(argslist)
     with _pool_lock:
         try:
-            results = _kept_pool(jobs).map(worker, argslist, chunksize=chunk)
+            counter, tasks = _start_drains(jobs, worker, argslist)
         except process.BrokenProcessPool:  # a worker died since the last call
             _pool = None
-            results = _kept_pool(jobs).map(worker, argslist, chunksize=chunk)
-        return list(results)
+            counter, tasks = _start_drains(jobs, worker, argslist)
+        try:
+            for task in as_completed(tasks):  # a raising run ends the call at once
+                for i, result in task.result():
+                    results[i] = result
+        finally:  # stop the claims and let no task outlive the call
+            counter.value = len(argslist)
+            wait(tasks)
+    return results
 
 
 def _cell_results(cfg: ExperimentConfig, worker, jobs: int, *extra):

@@ -33,6 +33,7 @@ def test_head_against_head():
     members = [f"{a} target n=20 m=80" for a in ("a1", "b1", "a2", "b2")]
     members += [f"{a} target n=30 m=120" for a in ("a1", "a2", "b2")]
     members += [f"{a} full n=40 m={m}" for m in density_grid(40) for a in ("a1", "b1")]
+    members += ["fanout failure n=30 24 runs x1 units", "fanout accuracy n=60,80 x1 runs"]
     assert list(out["cells"]) == ["n=20 m=80", "n=25 m=300", *members]
     for label, cell in out["cells"].items():
         if label in members:

@@ -2,9 +2,10 @@
 
 Each criterion prints a single PASS/FAIL line (run with ``pytest -s -v``
 to see them live).  The statistical criteria are seed-pinned and run at
-desk scale; the full module took 12.8-14.3 s of wall time on a 2-core
+desk scale; the full module took 10.7-14.3 s of wall time on a 2-core
 Xeon with Python 3.11.7, almost all of it the setup of criterion 2
-(10.7-11.4 s over three runs).
+(8.6-11.9 s over six runs; 9.6-10.6 s with the pool's earlier chunked
+map, in three runs alternated with the last three).
 Criterion 6 checks the n=20 report of criterion 2 against a pinned
 digest.
 """

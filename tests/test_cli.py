@@ -174,7 +174,7 @@ class TestExperiment:
         assert not out.exists()
 
     def test_jobs_capped_at_cpu_count(self, monkeypatch, pools):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         args = [
             "experiment", "failure", "--n", "10", "--m", "4n", "--algos", "a1",
             "--runs", "8", "--jobs", "64",

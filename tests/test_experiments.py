@@ -293,6 +293,25 @@ def _exit_worker(_):
     os._exit(1)  # a worker process that dies mid-task breaks the pool
 
 
+def _logged_worker(args):
+    path, r = args
+    with open(path, "a") as f:  # one short append per run, atomic across processes
+        f.write(f"{r}\n")
+    return r
+
+
+def _raise_on_first(r):
+    if r == 0:
+        raise ValueError("run 0")
+    time.sleep(0.2)
+    return r
+
+
+def _slow_abs(x):
+    time.sleep(0.01)
+    return abs(x)
+
+
 def _python(script: str) -> subprocess.CompletedProcess:
     """Run ``script`` in a fresh interpreter that imports this checkout's greedymis."""
     src = str(Path(experiments.__file__).resolve().parent.parent)
@@ -305,8 +324,8 @@ def _python(script: str) -> subprocess.CompletedProcess:
 class TestMapRuns:
     @pytest.fixture(autouse=True)
     def cpus(self, monkeypatch):
-        """Four CPUs, so that the widths below pass the CPU cap on any runner."""
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        """Four usable CPUs, so that the widths below pass the CPU cap on any runner."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
 
     def test_workers_capped_at_run_count(self, pools):
         assert experiments._map_runs(abs, [-1, -2], 64) == [1, 2]
@@ -317,11 +336,18 @@ class TestMapRuns:
     def test_workers_capped_at_cpu_count(self, pools, monkeypatch):
         cfg = ExperimentConfig((10,), "4n", parse_algorithms("a1"), 8, 1)
         serial = emit_csv(run_failure_experiment(cfg))
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert emit_csv(run_failure_experiment(cfg, jobs=5000)) == serial
+        # as under `taskset -c 3`: one usable CPU of the host's four, so serial
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert emit_csv(run_failure_experiment(cfg, jobs=5000)) == serial
+        # no affinity mask on the platform: the host's count
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert emit_csv(run_failure_experiment(cfg, jobs=5000)) == serial
         monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: run serially
         assert emit_csv(run_failure_experiment(cfg, jobs=5000)) == serial
-        assert pools == [2]
+        assert pools == [2, 3]
 
     def test_runner_with_few_runs_and_many_jobs(self, pools):
         cfg = ExperimentConfig((10,), (9,), parse_algorithms("a1"), 2, 1)
@@ -343,6 +369,21 @@ class TestMapRuns:
         assert experiments._map_runs(abs, [-4], 3) == [4]  # serial: no pool touched
         assert pools == [2, 3]
         assert shutdowns == [(2, True)]
+
+    @pytest.mark.parametrize("runs", [2, 3, 60])  # fewer, as many and more than jobs
+    def test_each_run_executed_once_in_run_order(self, runs, tmp_path):
+        log = tmp_path / "runs.log"
+        args = [(str(log), r) for r in range(runs)]
+        assert experiments._map_runs(_logged_worker, args, 3) == list(range(runs))
+        assert sorted(map(int, log.read_text().split())) == list(range(runs))
+
+    def test_raising_call_leaves_no_run_to_the_next(self):
+        # one worker raises on run 0 while the other sleeps in run 1; a drain
+        # left running would wake to claim runs of the next call
+        with pytest.raises(ValueError, match="run 0"):
+            experiments._map_runs(_raise_on_first, list(range(40)), 2)
+        args = list(range(-1, -41, -1))
+        assert experiments._map_runs(_slow_abs, args, 2) == [abs(a) for a in args]
 
     def test_broken_pool_is_replaced(self):
         with pytest.raises(BrokenProcessPool):

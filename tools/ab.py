@@ -7,7 +7,7 @@ side by side in one process (the package imports itself relatively).  A
 revision is anything ``git archive`` takes; ``worktree`` copies the
 working tree's ``src/greedymis`` instead.  Each side builds its own
 graphs, ``random_gnm(n, m, seed=derive_seed(1, n, m, r))`` for r below
-the cell's graph count, and the tool times two sections:
+the cell's graph count, and the tool times three sections:
 
 * the oracle: ``exact_mis`` on ``--graphs`` graphs per ``--cells`` cell.
   Alpha must be equal on every graph; witnesses and node counts may
@@ -20,13 +20,20 @@ the cell's graph count, and the tool times two sections:
   run's witness, counters, generation sizes and ``complete`` must be
   equal on both sides, so a change that moves an oracle witness fails
   the target cells.
+* the fan-out: whole runner calls at ``jobs=2`` through the process pool,
+  as ``run_failure_experiment`` on 24-run n=30 m=4n a1,a2,b2 units (a
+  sixth of ``--graphs`` units, at least one, base seeds 1, 2, ...) and
+  one ``run_accuracy_experiment`` call at n=60,80 m=4n a1 (a third of
+  ``--graphs`` runs per cell, at least one).  The SHA-256 of each cell's
+  CSVs must be equal on both sides.  Each side keeps its own pool; the
+  call that takes the digest also starts it.
 
 It then times every cell over its graphs in ``--rounds`` rounds, base
 first in even rounds and change first in odd ones, and prints one JSON
 object: per cell, the per-call milliseconds of each round, their medians
 and the base's quartiles, the ratio change / base of the medians, the
 rounds the change won, and each side's total search nodes (oracle) or
-the shared run digest (members).
+the shared run or CSV digest (members, fan-out).
 
 Run from the repository root, or anywhere inside the checkout::
 
@@ -34,8 +41,8 @@ Run from the repository root, or anywhere inside the checkout::
     python tools/ab.py --base HEAD~1 --change HEAD --rounds 11
     python tools/ab.py --cells 80:320,25:300    # n:m oracle cells
 
-It exits 1 when an alpha or a member digest differs.  The default 7
-rounds take about two minutes on one core (2-core Xeon, Python 3.11.7).
+It exits 1 when an alpha, a member digest or a fan-out digest differs.
+The default 7 rounds take about two minutes (2-core Xeon, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -64,6 +71,9 @@ CELLS = ((20, 80), (30, 120), (40, 160), (60, 240), (80, 320), (100, 400),
 # members run to each side's own oracle witness, then full over density_grid
 TARGET_CELLS = (("a1,b1,a2,b2", 20, 80), ("a1,a2,b2", 30, 120))
 FULL_N, FULL_MEMBERS = 40, "a1,b1"
+# pooled runner calls: the failure-n30 benchmark unit, and a multi-cell
+# accuracy call whose per-run cost is heavy-tailed
+FANOUT_JOBS = 2
 
 
 def extract(rev: str, dest: Path, name: str) -> None:
@@ -132,6 +142,24 @@ def member_cells(pkg, count: int) -> dict:
     return {label: (calls, run_digest(c() for c in calls)) for label, calls in runs.items()}
 
 
+def fanout_cells(pkg, count: int) -> dict:
+    """Per fan-out cell: the pooled runner calls to time and their CSV digest."""
+    def call(runner, n_values, algos, runs, seed):
+        cfg = pkg.ExperimentConfig(n_values, "4n", pkg.parse_algorithms(algos), runs, seed)
+        return partial(runner, cfg, jobs=FANOUT_JOBS)
+
+    units, runs = max(count // 6, 1), max(count // 3, 1)
+    cells = {
+        f"fanout failure n=30 24 runs x{units} units": [
+            call(pkg.run_failure_experiment, (30,), "a1,a2,b2", 24, SEED + u)
+            for u in range(units)],
+        f"fanout accuracy n=60,80 x{runs} runs": [
+            call(pkg.run_accuracy_experiment, (60, 80), "a1", runs, SEED)],
+    }
+    return {label: (calls, hashlib.sha256(b"".join(pkg.emit_csv(c()) for c in calls)).hexdigest())
+            for label, calls in cells.items()}
+
+
 def per_call_ms(calls) -> float:
     start = time.perf_counter()
     for call in calls:
@@ -142,7 +170,7 @@ def per_call_ms(calls) -> float:
 def compare(base, change, cells, count: int, rounds: int) -> dict:
     sides = (base, change)
     oracle = [oracle_cells(p, cells, count) for p in sides]
-    members = [member_cells(p, count) for p in sides]
+    members = [member_cells(p, count) | fanout_cells(p, count) for p in sides]
     report = {}
     for label in oracle[0]:
         (cb, alphas_b, nodes_b), (cc, alphas_c, nodes_c) = oracle[0][label], oracle[1][label]
@@ -153,7 +181,7 @@ def compare(base, change, cells, count: int, rounds: int) -> dict:
     for label in members[0]:
         (cb, db), (cc, dc) = members[0][label], members[1][label]
         if db != dc:
-            raise SystemExit(f"member digest differs at {label}")
+            raise SystemExit(f"digest differs at {label}")
         report[label] = ((cb, cc), {"digest": db})
     ms = {label: ([], []) for label in report}
     for i in range(rounds):

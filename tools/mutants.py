@@ -249,9 +249,13 @@ MUTANTS = (
            "jobs = min(jobs, ",
            ("test_experiments.py",)),
     Mutant("cpu-cap-removed", "experiments.py",
-           "len(argslist), os.cpu_count() or 1)",
+           "len(argslist), _usable_cpus())",
            "len(argslist))",
            ("test_experiments.py", "test_cli.py")),
+    Mutant("affinity-ignored", "experiments.py",
+           "        return len(os.sched_getaffinity(0))\n",
+           "        return os.cpu_count() or 1\n",
+           ("test_experiments.py",)),
     Mutant("pool-imported-with-the-module", "experiments.py",
            "ProcessPoolExecutor = None\n",
            "from concurrent.futures import ProcessPoolExecutor\n",
@@ -262,8 +266,19 @@ MUTANTS = (
            ("test_experiments.py",)),
     Mutant("broken-pool-kept", "experiments.py",
            "            _pool = None\n"
-           "            results = _kept_pool(jobs)",
-           "            results = _kept_pool(jobs)",
+           "            counter, tasks = _start_drains(",
+           "            counter, tasks = _start_drains(",
+           ("test_experiments.py",)),
+    Mutant("counter-not-reset", "experiments.py",
+           "    counter.value = 0\n",
+           "",
+           ("test_experiments.py",)),
+    # a raising run returns at once, and the other worker's drain, still
+    # running, claims runs of the next call
+    Mutant("drain-no-wait", "experiments.py",
+           "            counter.value = len(argslist)\n"
+           "            wait(tasks)\n",
+           "            pass\n",
            ("test_experiments.py",)),
     Mutant("pool-kept-across-fork", "experiments.py",
            "    os.register_at_fork(after_in_child=_forget_pool)\n",
