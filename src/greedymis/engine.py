@@ -373,12 +373,14 @@ def run_greedy(
     """
     stats = RunStats()
     sizes = stats.generation_sizes
-    child = _stepper(g, cfg.heuristic, stats)
     k = cfg.k
+    seeds = _seeds(g, k, target or ())
+    first = next(seeds)  # the seeding guards raise before the tables are built
+    child = _stepper(g, cfg.heuristic, stats)
     stop = g.n + 1 if target is None else len(target)  # no set exceeds n
     visited: set[int] = set()
     best = (0, ())  # (-c, set) of the best terminal set; any real one sorts first
-    for smask, pool in _seeds(g, k, target or ()):
+    for smask, pool in chain((first,), seeds):
         c = k
         while smask not in visited:
             visited.add(smask)

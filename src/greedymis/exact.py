@@ -19,13 +19,16 @@ bit-sliced counters, W bitmasks ("planes") laid out by
 clique solvers (San Segundo, Rodriguez-Losada & Jimenez, 2011).  The top
 plane is exactly the set of degree at most 1, so the vertices waiting to
 be taken are ``avail & planes[-1]``, and lowering the degree of every
-vertex of a mask by one is one carry chain of whole-set operations.  A
-take of t removes t and its neighbor u, if any, and lowers u's
-neighbors.  The branch vertex is the lowest of maximum degree, that is
-of least count, found by one top-down scan of the planes.  The include
-child waits on the stack with a copy of its parent's planes, lowered once
-for each vertex of N(v); the exclude child lowers the parent's planes
-over N(v) in place and is searched at once.  A removed vertex's bits are
+vertex of a mask by one is one carry chain of whole-set operations.
+Each update is deferred to the step that reads it.  A take of t removes
+t and its neighbor u, if any, and records u's remaining neighbors as the
+set whose degrees drop; the exclude child of a branch on v, searched at
+once, records N(v).  The next step lowers that one set with a single
+carry chain before it reads the planes.  The branch vertex is the lowest
+of maximum degree, that is of least count, found by one top-down scan of
+the planes.  The include child waits on the stack with N(v) and a copy
+of its parent's planes; when it is popped, each u in N(v) lowers its
+remaining neighbors, one carry chain per u.  A removed vertex's bits are
 stale and every read masks them off.
 
 Searching the exclude child first makes the first descent a greedy set:
@@ -81,10 +84,10 @@ dense: n = 60, m = 90 reads 2.66 (0.08 -> 0.22 ms), n = 60, m = 120 1.49,
 n = 50, m = 600 1.17 and n = 80, m = 160 1.21; n = 80, m = 800 reads 0.79.
 
 States wait on an explicit stack, so the depth is not limited by Python's
-recursion limit.  A stacked state holds its two masks and W planes,
-W = O(log(max degree)).  An optional budget caps the search nodes (the
-root and one per branch), so a limited search stops at the same point on
-every machine.  `brute_force_mis` scans every subset and exists to
+recursion limit.  A stacked state holds its two masks, N(v) and W
+planes, W = O(log(max degree)).  An optional budget caps the search
+nodes (the root and one per branch), so a limited search stops at the
+same point on every machine.  `brute_force_mis` scans every subset and exists to
 validate the control on small inputs.
 """
 
@@ -146,26 +149,39 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
     best_mask = g.full_mask & 1  # one vertex: a set to beat from the root on
     bound_prunes = 0
     nodes = 1  # search nodes entered so far, the root included
-    stack = [(g.full_mask, 0, planes)]  # states still to search
+    # states still to search: avail, chosen, planes, and the vertices whose
+    # neighbors in avail the planes have yet to lower
+    stack = [(g.full_mask, 0, planes, 0)]
     while stack:
-        avail, chosen, planes = stack.pop()
+        avail, chosen, planes, nb = stack.pop()
+        while nb:
+            u = nb.bit_length() - 1
+            nb ^= 1 << u
+            s = adj[u] & avail
+            i = 0
+            while s:
+                c = planes[i]
+                planes[i] = c ^ s
+                s &= c
+                i += 1
+        s = 0  # the set whose degrees drop before the next step reads them
         while avail:
+            i = 0
+            while s:
+                c = planes[i]
+                planes[i] = c ^ s
+                s &= c
+                i += 1
             pending = avail & planes[-1]
             if pending:
-                # take the lowest vertex of degree <= 1, drop its neighbor
-                # if any, and lower the degrees of that neighbor's neighbors
+                # take the lowest vertex of degree <= 1 and drop its
+                # neighbor if any; that neighbor's neighbors lose a degree
                 take = pending & -pending
                 nu = adj[take.bit_length() - 1] & avail
                 avail ^= take | nu
                 chosen |= take
                 if nu:
                     s = adj[nu.bit_length() - 1] & avail
-                    i = 0
-                    while s:
-                        c = planes[i]
-                        planes[i] = c ^ s
-                        s &= c
-                        i += 1
                 continue
             # cover avail by cliques grown from its lowest vertex; stop once
             # the cover needs more cliques than |best| - |chosen|, as it then
@@ -197,29 +213,10 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
             avail ^= low
             nv = adj[low.bit_length() - 1] & avail
             # include child, searched later: a copy of the parent's planes,
-            # lowered by each u in N(v)
-            included = planes[:]
-            left = avail ^ nv
-            nb = nv
-            while nb:
-                u = nb.bit_length() - 1
-                nb ^= 1 << u
-                s = adj[u] & left
-                i = 0
-                while s:
-                    c = included[i]
-                    included[i] = c ^ s
-                    s &= c
-                    i += 1
-            stack.append((left, chosen | low, included))
-            # exclude child, searched now: the parent's planes, N(v) lowered
+            # lowered by each u in N(v) once it is popped
+            stack.append((avail ^ nv, chosen | low, planes[:], nv))
+            # exclude child, searched now: N(v) loses a degree
             s = nv
-            i = 0
-            while s:
-                c = planes[i]
-                planes[i] = c ^ s
-                s &= c
-                i += 1
         else:  # avail ran out: a maximal set, not a pruned state
             if chosen.bit_count() > best_mask.bit_count():
                 best_mask = chosen

@@ -38,7 +38,10 @@ def test_head_against_head():
     for label, cell in out["cells"].items():
         if label in members:
             assert len(cell["digest"]) == 64
+            assert "paired_ratio_geomean" not in cell
         else:
             assert cell["base_nodes"] == cell["change_nodes"] > 0
+            assert cell["paired_ratio_geomean"] > 0
+            assert cell["graphs_slower"] in (0, 1, 2)
         assert len(cell["base_ms"]) == len(cell["change_ms"]) == 1
         assert cell["change_wins"] in (0, 1)

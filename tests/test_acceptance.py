@@ -4,8 +4,7 @@ Each criterion prints a single PASS/FAIL line (run with ``pytest -s -v``
 to see them live).  The statistical criteria are seed-pinned and run at
 desk scale; the full module took 10.7-14.3 s of wall time on a 2-core
 Xeon with Python 3.11.7, almost all of it the setup of criterion 2
-(8.6-11.9 s over six runs; 9.6-10.6 s with the pool's earlier chunked
-map, in three runs alternated with the last three).
+(8.6-11.9 s over six runs).
 Criterion 6 checks the n=20 report of criterion 2 against a pinned
 digest.
 """

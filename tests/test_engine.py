@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -495,6 +496,21 @@ class TestSeedLimit:
         with pytest.raises(SeedLimitError):
             initial_generation(Graph(1415), 2)
         assert len(initial_generation(Graph(1000), 1).sets) == 1000
+
+    @pytest.mark.parametrize(
+        "k, target, error", [(2, None, SeedLimitError), (1, (3, 2), ValueError)]
+    )
+    def test_guards_fire_before_the_run_is_set_up(self, k, target, error):
+        # a run's scoring tables hold about n**2 / 2 bits, 150 MiB here
+        g = Graph(50_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                run_greedy(g, EngineConfig(Heuristic.A, k), target=target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
 
 B = Heuristic.B

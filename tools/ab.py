@@ -33,7 +33,13 @@ first in even rounds and change first in odd ones, and prints one JSON
 object: per cell, the per-call milliseconds of each round, their medians
 and the base's quartiles, the ratio change / base of the medians, the
 rounds the change won, and each side's total search nodes (oracle) or
-the shared run or CSV digest (members, fan-out).
+the shared run or CSV digest (members, fan-out).  An oracle cell times
+each graph's base and change calls back to back instead, the side that
+goes first alternating from graph to graph and from round to round, so
+that drift in the host's speed falls on both sides alike.  Its round
+times are the means over its graphs, and it adds the geometric mean over
+the graphs of the ratio change / base of each graph's median time, and
+the number of graphs whose ratio is above 1.
 
 Run from the repository root, or anywhere inside the checkout::
 
@@ -167,6 +173,19 @@ def per_call_ms(calls) -> float:
     return (time.perf_counter() - start) * 1e3 / len(calls)
 
 
+def paired_ms(calls_b, calls_c, flip: int) -> tuple[list[float], list[float]]:
+    """Per graph, the milliseconds of its base and its change call, timed
+    back to back; base goes first on even graphs when ``flip`` is 0 and on
+    odd ones when it is 1."""
+    ms = ([], [])
+    for r, pair in enumerate(zip(calls_b, calls_c)):
+        for s in ((0, 1) if (r + flip) % 2 == 0 else (1, 0)):
+            start = time.perf_counter()
+            pair[s]()
+            ms[s].append((time.perf_counter() - start) * 1e3)
+    return ms
+
+
 def compare(base, change, cells, count: int, rounds: int) -> dict:
     sides = (base, change)
     oracle = [oracle_cells(p, cells, count) for p in sides]
@@ -184,14 +203,25 @@ def compare(base, change, cells, count: int, rounds: int) -> dict:
             raise SystemExit(f"digest differs at {label}")
         report[label] = ((cb, cc), {"digest": db})
     ms = {label: ([], []) for label in report}
+    per_graph = {label: ([], []) for label in oracle[0]}  # per side: per round, per graph
     for i in range(rounds):
-        order = (0, 1) if i % 2 == 0 else (1, 0)
         for label, (calls, _) in report.items():
-            for s in order:
-                ms[label][s].append(round(per_call_ms(calls[s]), 4))
+            if label in per_graph:
+                for s, times in enumerate(paired_ms(*calls, flip=i % 2)):
+                    per_graph[label][s].append(times)
+                    ms[label][s].append(round(statistics.fmean(times), 4))
+            else:
+                for s in (0, 1) if i % 2 == 0 else (1, 0):
+                    ms[label][s].append(round(per_call_ms(calls[s]), 4))
     out = {}
     for label, (_, extra) in report.items():
         mb, mc = ms[label]
+        if label in per_graph:
+            gb, gc = ([statistics.median(g) for g in zip(*rows)] for rows in per_graph[label])
+            ratios = [c / b for b, c in zip(gb, gc)]
+            extra = {**extra,
+                     "paired_ratio_geomean": round(statistics.geometric_mean(ratios), 3),
+                     "graphs_slower": sum(r > 1 for r in ratios)}
         med_b, med_c = statistics.median(mb), statistics.median(mc)
         q1, _, q3 = statistics.quantiles(mb, n=4) if len(mb) > 1 else mb * 3
         out[label] = {

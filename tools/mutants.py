@@ -50,6 +50,10 @@ MUTANTS = (
            "checks = c * (n - c) + ",
            "checks = c * (n - c - 1) + ",
            ("test_engine.py",)),
+    Mutant("a-pool-charge", "engine.py",
+           "adjacency_checks += c * (n - c) + ",
+           "adjacency_checks += c * (n - c - 1) + ",
+           ("test_engine.py",)),
     Mutant("empty-pool-terminal", "engine.py",
            "(smask | best_bit if best_bit else 0), best_pool",
            "smask | best_bit, best_pool",
@@ -127,57 +131,62 @@ MUTANTS = (
            "while rest and spare > 0:",
            "while rest and spare >= 0:",
            ("test_exact.py",)),
-    Mutant("take-carry-inverted", "exact.py",
-           "                        planes[i] = c ^ s\n"
-           "                        s &= c\n",
-           "                        planes[i] = c ^ s\n"
-           "                        s &= ~c\n",
-           ("test_exact.py",)),
-    Mutant("include-carry-inverted", "exact.py",
-           "                    included[i] = c ^ s\n"
-           "                    s &= c\n",
-           "                    included[i] = c ^ s\n"
-           "                    s &= ~c\n",
-           ("test_exact.py",)),
-    Mutant("exclude-carry-inverted", "exact.py",
-           "                planes[i] = c ^ s\n"
+    # the one chain that lowers what a take or the exclude child recorded
+    Mutant("step-carry-inverted", "exact.py",
            "                s &= c\n"
            "                i += 1\n"
-           "        else:",
-           "                planes[i] = c ^ s\n"
+           "            pending = ",
            "                s &= ~c\n"
            "                i += 1\n"
-           "        else:",
+           "            pending = ",
+           ("test_exact.py",)),
+    Mutant("take-drop-not-recorded", "exact.py",
+           "                    s = adj[nu.bit_length() - 1] & avail\n",
+           "                    pass\n",
+           ("test_exact.py",)),
+    Mutant("exclude-drop-not-recorded", "exact.py",
+           "            s = nv\n",
+           "            s = 0\n",
+           ("test_exact.py",)),
+    Mutant("include-carry-inverted", "exact.py",
+           "            s = adj[u] & avail\n"
+           "            i = 0\n"
+           "            while s:\n"
+           "                c = planes[i]\n"
+           "                planes[i] = c ^ s\n"
+           "                s &= c\n",
+           "            s = adj[u] & avail\n"
+           "            i = 0\n"
+           "            while s:\n"
+           "                c = planes[i]\n"
+           "                planes[i] = c ^ s\n"
+           "                s &= ~c\n",
            ("test_exact.py",)),
     Mutant("pending-from-wrong-plane", "exact.py",
            "pending = avail & planes[-1]",
            "pending = avail & planes[-2]",
            ("test_exact.py",)),
     Mutant("include-planes-share-parent", "exact.py",
-           "            included = planes[:]\n",
-           "            included = planes\n",
+           "chosen | low, planes[:], nv))",
+           "chosen | low, planes, nv))",
            ("test_exact.py",)),
     # the include child searched now and the exclude child stacked, as
     # before the exclude-first order; alpha stays right, witnesses move
     Mutant("include-first-order", "exact.py",
-           "            stack.append((left, chosen | low, included))\n"
-           "            # exclude child, searched now: the parent's planes, N(v) lowered\n"
+           "            stack.append((avail ^ nv, chosen | low, planes[:], nv))\n"
+           "            # exclude child, searched now: N(v) loses a degree\n"
+           "            s = nv\n",
+           "            excluded = planes[:]\n"
            "            s = nv\n"
            "            i = 0\n"
            "            while s:\n"
-           "                c = planes[i]\n"
-           "                planes[i] = c ^ s\n"
-           "                s &= c\n"
-           "                i += 1\n",
-           "            s = nv\n"
-           "            i = 0\n"
-           "            while s:\n"
-           "                c = planes[i]\n"
-           "                planes[i] = c ^ s\n"
+           "                c = excluded[i]\n"
+           "                excluded[i] = c ^ s\n"
            "                s &= c\n"
            "                i += 1\n"
-           "            stack.append((avail, chosen, planes))\n"
-           "            avail, chosen, planes = left, chosen | low, included\n",
+           "            stack.append((avail, chosen, excluded, 0))\n"
+           "            stack.append((avail ^ nv, chosen | low, planes, nv))\n"
+           "            break\n",
            ("test_exact.py",)),
     Mutant("branch-tie-highest-id", "exact.py",
            "            low = cand & -cand\n"
@@ -186,8 +195,8 @@ MUTANTS = (
            "            avail ^= low\n",
            ("test_exact.py",)),
     Mutant("include-misses-one-neighbor", "exact.py",
-           "            nb = nv\n",
-           "            nb = nv & (nv - 1)\n",
+           "planes[:], nv))",
+           "planes[:], nv & (nv - 1)))",
            ("test_exact.py",)),
     # an unlimited search also fails here (None does not compare with >),
     # but the budget tests alone kill the boundary shift
