@@ -236,6 +236,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
+    except KeyboardInterrupt:  # Ctrl-C: one line and the shell's code for SIGINT
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 def entry_point() -> None:

@@ -36,30 +36,15 @@ it keeps deleting a vertex of largest degree until the takes of degree
 <= 1 finish the set, where an include-first descent adds a vertex of
 largest degree at each branch, the worst greedy choice.  The cover
 prunes only against the best set so far, so a good one early is worth
-much of the tree: given the optimal set as its best at the root, the
-include-first search took 19,512 of its 30,373 nodes (n = 80, m = 4n,
-derive_seed(1, 80, 320, r), r < 60).  Nodes over those 60 graphs per n
-at m = 4n, and per-call time exclude first over include first (median
-of 11 alternating rounds of tools/ab.py, 2-core Xeon, Python 3.11.7;
-BENCH_22.json holds the include-first nodes):
-
-    n            20     30     40     60     80      100
-    nodes        608    932    2078   5397   23075   77103
-    time ratio   0.90   0.69   0.71   0.70   0.78    0.76
-
-The n = 80 median fell from 492.5 to 318 nodes.  Dense cells gain as
-much: n = 40, m = 390 reads 0.67 and n = 80, m = 800 0.85; the sparse
-n = 60, m = 90 reads 0.95.  Some graphs take more nodes than before (22
-of the 60 at n = 20, 8 at n = 80, up to twice as many), so a node budget
-chosen under the include-first order can exclude other runs than it did.
+much of the tree.  Some graphs take more nodes than under the
+include-first order, so a node budget chosen under that order can
+exclude other runs than it did.
 
 The search starts with one vertex, bit 0, as its best set, which every
 graph with a vertex has.  The root's cover then prunes a complete graph
 at once, one node, where the exclude-first descent would branch down to
 its last edge (n - 1 nodes).  A witness moves only where alpha is 1, and
-a count only where the search would have found a one-vertex set first:
-over 60 graphs in each of 13 G(n, m) cells (n = 20-80, sparse to dense)
-no witness, node or prune count moved.
+a count only where the search would have found a one-vertex set first.
 
 A graph of at least RELABEL_MIN_N = 50 vertices is searched relabelled
 in smallest-last order (Matula & Beck, 1983): repeatedly remove a vertex
@@ -67,21 +52,15 @@ of least remaining degree, the lowest id on ties; vertex order[i], the
 i-th removed, becomes bit i.  The search runs unchanged on the permuted
 masks and the witness is mapped back.  Every "lowest vertex first" of
 the search (the take, the cover's growth, the branch tie) then starts
-from the sparse end of the graph.  At n = 80, m = 4n it cuts the nodes
-of the 60 graphs above from 33,461 to 23,075 (median 491.5 -> 318), and
-no graph takes more nodes; at n = 50, 6 of 60 take more.  Below n = 50
-the search is the plain one, node for node.  The order and the permuted
-masks cost O(n + m) per call, which is what sets the threshold.
-Per-call time with the relabel over the plain search at m = 4n (median
-of 11 alternating rounds of tools/ab.py, 60 graphs per n, 2-core Xeon,
-Python 3.11.7):
+from the sparse end of the graph, which cuts the total nodes.  The
+order and the permuted masks cost O(n + m) per call, which below n = 50
+outweighs the nodes saved; there the search is the plain one, node for
+node.
 
-    n       20    30    40    45    50    55    60    80    100
-    ratio   1.75  1.44  1.09  1.00  1.01  0.92  0.81  0.84  0.69
-
-It loses on n >= 50 graphs that the search solves in few nodes, sparse or
-dense: n = 60, m = 90 reads 2.66 (0.08 -> 0.22 ms), n = 60, m = 120 1.49,
-n = 50, m = 600 1.17 and n = 80, m = 160 1.21; n = 80, m = 800 reads 0.79.
+The nodes and per-call times behind these rules are in BENCH_22.json
+(``oracle_per_call``: exclude first against include first;
+``relabel_per_call``: relabelled against plain, per n) and in
+BENCH_21.json (the relabel's nodes and its threshold).
 
 States wait on an explicit stack, so the depth is not limited by Python's
 recursion limit.  A stacked state holds its two masks, N(v) and W

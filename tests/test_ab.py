@@ -30,18 +30,20 @@ def test_head_against_head():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert (out["base"], out["change"], out["rounds"]) == ("HEAD", "HEAD", 1)
+    gnm = [f"random_gnm n={n} m={4 * n}" for n in (20, 30, 40, 80)]
     members = [f"{a} target n=20 m=80" for a in ("a1", "b1", "a2", "b2")]
     members += [f"{a} target n=30 m=120" for a in ("a1", "a2", "b2")]
     members += [f"{a} full n=40 m={m}" for m in density_grid(40) for a in ("a1", "b1")]
-    members += ["fanout failure n=30 24 runs x1 units", "fanout accuracy n=60,80 x1 runs"]
-    assert list(out["cells"]) == ["n=20 m=80", "n=25 m=300", *members]
+    fanout = ["fanout failure n=30 24 runs x1 units", "fanout accuracy n=60,80 x1 runs"]
+    assert list(out["cells"]) == ["n=20 m=80", "n=25 m=300", *gnm, *members, *fanout]
     for label, cell in out["cells"].items():
-        if label in members:
-            assert len(cell["digest"]) == 64
-            assert "paired_ratio_geomean" not in cell
-        else:
+        calls = 1 if label in fanout or " full " in label else 2  # --graphs 2
+        assert len(cell["digest"]) == 64
+        assert cell["paired_ratio_geomean"] > 0
+        assert 0 <= cell["graphs_slower"] <= calls
+        if label.startswith("n="):  # oracle cells report each side's search nodes
             assert cell["base_nodes"] == cell["change_nodes"] > 0
-            assert cell["paired_ratio_geomean"] > 0
-            assert cell["graphs_slower"] in (0, 1, 2)
+        else:
+            assert "base_nodes" not in cell
         assert len(cell["base_ms"]) == len(cell["change_ms"]) == 1
         assert cell["change_wins"] in (0, 1)

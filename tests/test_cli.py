@@ -324,6 +324,20 @@ class TestExperiment:
         assert _single_error_line(capsys) == "error: --out and --plot must name different files\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
 
+    def test_interrupt_is_one_line_and_exit_130(self, monkeypatch, capsys):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_accuracy_experiment", interrupted)
+        args = ["experiment", "accuracy", "--n", "80", "--m", "4n", "--algos", "a1",
+                "--runs", "3000", "--jobs", "2"]
+        try:
+            code = main(args)
+        except KeyboardInterrupt:  # would otherwise end the whole test session
+            pytest.fail("KeyboardInterrupt escaped main")
+        assert code == 130
+        assert _single_error_line(capsys) == "error: interrupted\n"
+
     @pytest.mark.parametrize(
         "kind, line",
         [

@@ -478,6 +478,26 @@ class TestMapRuns:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
+    @pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods(),
+                        reason="no forkserver start method on this platform")
+    def test_forkserver_pool_matches_serial(self):
+        # forkserver is Linux's default start method from Python 3.14 on
+        script = (
+            "import multiprocessing, os\n"
+            "multiprocessing.set_start_method('forkserver')\n"
+            "import greedymis as gm\n"
+            "from greedymis import experiments\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}  # a pool on any host\n"
+            "cfg = gm.ExperimentConfig((20, 30), '4n', gm.parse_algorithms('a1,b2'), 100, 1)\n"
+            "serial = gm.emit_csv(gm.run_failure_experiment(cfg))\n"
+            "pooled = gm.emit_csv(gm.run_failure_experiment(cfg, jobs=2))\n"
+            "print(experiments._pool is not None, pooled == serial,\n"
+            "      multiprocessing.get_start_method())\n"
+        )
+        proc = _python(script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True True forkserver\n", proc.stderr
+
 
 class TestEmission:
     def test_failure_csv_schema(self):

@@ -1,5 +1,5 @@
-"""Per-call A/B timing of ``exact_mis`` and the greedy members between two
-revisions of the package.
+"""Paired per-call A/B timing of ``exact_mis``, the greedy members,
+``random_gnm`` and the pooled runners between two revisions of the package.
 
 Each side's ``src/greedymis`` is extracted into a temporary directory
 under its own package name, ``ab_base`` and ``ab_change``, so both import
@@ -7,39 +7,48 @@ side by side in one process (the package imports itself relatively).  A
 revision is anything ``git archive`` takes; ``worktree`` copies the
 working tree's ``src/greedymis`` instead.  Each side builds its own
 graphs, ``random_gnm(n, m, seed=derive_seed(1, n, m, r))`` for r below
-the cell's graph count, and the tool times three sections:
+the cell's graph count.  Every cell holds, per side, the calls to time,
+one output per call that must be equal on both sides, and any per-side
+totals:
 
-* the oracle: ``exact_mis`` on ``--graphs`` graphs per ``--cells`` cell.
-  Alpha must be equal on every graph; witnesses and node counts may
-  differ.
-* the members: ``run_greedy`` in target mode, with each side's own
+* oracle: ``exact_mis`` on ``--graphs`` graphs per ``--cells`` cell.  The
+  output is alpha; witnesses may differ, and each side's total search
+  nodes are reported.
+* generator: ``random_gnm`` itself on the ``--graphs`` seeds at n = 20,
+  30, 40 and 80, m = 4n.  The output is the graph's ``adj``.
+* members: ``run_greedy`` in target mode, with each side's own
   ``exact_mis`` witness as the target, for a1, b1, a2 and b2 on
   n=20 m=80 and a1, a2 and b2 on n=30 m=120 (``--graphs`` graphs each),
   and in full mode for a1 and b1 on the 12 ``density_grid(40)`` cells
-  (a fifth of ``--graphs``, at least one, each).  The SHA-256 of every
-  run's witness, counters, generation sizes and ``complete`` must be
-  equal on both sides, so a change that moves an oracle witness fails
-  the target cells.
-* the fan-out: whole runner calls at ``jobs=2`` through the process pool,
+  (a fifth of ``--graphs``, at least one, each).  The output is the
+  run's witness, counters, generation sizes and ``complete``, so a change
+  that moves an oracle witness fails the target cells.
+* fan-out: whole runner calls at ``jobs=2`` through the process pool,
   as ``run_failure_experiment`` on 24-run n=30 m=4n a1,a2,b2 units (a
   sixth of ``--graphs`` units, at least one, base seeds 1, 2, ...) and
   one ``run_accuracy_experiment`` call at n=60,80 m=4n a1 (a third of
-  ``--graphs`` runs per cell, at least one).  The SHA-256 of each cell's
-  CSVs must be equal on both sides.  Each side keeps its own pool; the
-  call that takes the digest also starts it.
+  ``--graphs`` runs per cell, at least one).  The output is the call's
+  CSV.  Each side keeps its own pool; the call that takes the output
+  also starts it.
 
-It then times every cell over its graphs in ``--rounds`` rounds, base
-first in even rounds and change first in odd ones, and prints one JSON
-object: per cell, the per-call milliseconds of each round, their medians
-and the base's quartiles, the ratio change / base of the medians, the
-rounds the change won, and each side's total search nodes (oracle) or
-the shared run or CSV digest (members, fan-out).  An oracle cell times
-each graph's base and change calls back to back instead, the side that
-goes first alternating from graph to graph and from round to round, so
-that drift in the host's speed falls on both sides alike.  Its round
-times are the means over its graphs, and it adds the geometric mean over
-the graphs of the ratio change / base of each graph's median time, and
-the number of graphs whose ratio is above 1.
+Every cell is timed the same way, in ``--rounds`` rounds: each call's
+base and change run back to back, the side that goes first alternating
+from call to call and from round to round.  The tool prints one JSON
+object: per cell, each side's mean milliseconds per call in each round,
+their medians and the base's quartiles, the ratio change / base of the
+medians, the rounds the change won, the SHA-256 of the outputs and any
+per-side totals.  The paired figures take each call's ratio change /
+base within a round, so drift in the host's speed between rounds
+cancels: ``paired_ratio_geomean`` is the geometric mean over the calls
+of each call's median ratio over the rounds, and ``graphs_slower`` the
+number of calls whose median ratio is above 1.
+
+HEAD against HEAD at ``--rounds 7 --cells 20:80`` (three runs, 2-core
+Xeon, Python 3.11.7), ``paired_ratio_geomean`` read 0.982-1.014 on the
+member cells and 0.991-1.004 on the generator cells, but 1.004-1.030 and
+0.965-1.091 on the two fan-out cells: the pool's scheduling does not
+pair.  A fan-out verdict belongs to the benchmark's ``failure-n30``
+workload; these cells check the CSV bytes and catch gross changes.
 
 Run from the repository root, or anywhere inside the checkout::
 
@@ -47,8 +56,8 @@ Run from the repository root, or anywhere inside the checkout::
     python tools/ab.py --base HEAD~1 --change HEAD --rounds 11
     python tools/ab.py --cells 80:320,25:300    # n:m oracle cells
 
-It exits 1 when an alpha, a member digest or a fan-out digest differs.
-The default 7 rounds take about two minutes (2-core Xeon, Python 3.11.7).
+It exits 1 when an output differs: an alpha, a graph, a run or a CSV.
+The default 7 rounds take about 95 s (2-core Xeon, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -74,6 +83,7 @@ SEED = 1
 # m = 4n from n = 20 to 100; then K25, two dense cells and a sparse one
 CELLS = ((20, 80), (30, 120), (40, 160), (60, 240), (80, 320), (100, 400),
          (25, 300), (40, 390), (60, 90), (80, 800))
+GNM_N = (20, 30, 40, 80)  # generator cells, m = 4n
 # members run to each side's own oracle witness, then full over density_grid
 TARGET_CELLS = (("a1,b1,a2,b2", 20, 80), ("a1,a2,b2", 30, 120))
 FULL_N, FULL_MEMBERS = 40, "a1,b1"
@@ -106,50 +116,58 @@ def load(rev: str, dest: Path, name: str):
     return importlib.import_module(name)
 
 
-def cell_graphs(pkg, n: int, m: int, count: int) -> list:
-    derive_seed = importlib.import_module(pkg.__name__ + ".rng").derive_seed
-    return [pkg.random_gnm(n, m, seed=derive_seed(SEED, n, m, r)) for r in range(count)]
+def gnm_calls(pkg, n: int, m: int, count: int) -> list:
+    """The cell's graphs, as calls to ``random_gnm``."""
+    return [partial(pkg.random_gnm, n, m, seed=pkg.derive_seed(SEED, n, m, r))
+            for r in range(count)]
 
 
 def oracle_cells(pkg, cells, count: int) -> dict:
-    """Per cell: the calls to time, the alphas that must agree, the node total."""
+    """Per cell: the calls to time, their alphas, the node total."""
     out = {}
     for n, m in cells:
-        graphs = cell_graphs(pkg, n, m, count)
+        graphs = [c() for c in gnm_calls(pkg, n, m, count)]
         res = [pkg.exact_mis(g) for g in graphs]
         out[f"n={n} m={m}"] = ([partial(pkg.exact_mis, g) for g in graphs],
-                               [r.alpha for r in res], sum(r.nodes for r in res))
+                               [b"%d\n" % r.alpha for r in res],
+                               {"nodes": sum(r.nodes for r in res)})
     return out
 
 
-def run_digest(results) -> str:
-    h = hashlib.sha256()
-    for res in results:
-        s = res.stats
-        h.update(f"{res.witness}:{s.heuristic_evals}:{s.adjacency_checks}:"
-                 f"{s.generation_sizes}:{res.complete}\n".encode())
-    return h.hexdigest()
+def gnm_cells(pkg, count: int) -> dict:
+    """Per generator cell: the calls to time and each graph's ``adj``."""
+    out = {}
+    for n in GNM_N:
+        calls = gnm_calls(pkg, n, 4 * n, count)
+        out[f"random_gnm n={n} m={4 * n}"] = (calls, [b"%r\n" % (c().adj,) for c in calls], {})
+    return out
+
+
+def run_line(res) -> bytes:
+    s = res.stats
+    return (f"{res.witness}:{s.heuristic_evals}:{s.adjacency_checks}:"
+            f"{s.generation_sizes}:{res.complete}\n".encode())
 
 
 def member_cells(pkg, count: int) -> dict:
-    """Per member cell: the calls to time and the digest that must agree."""
+    """Per member cell: the calls to time and each run's result."""
     runs = {}
     for names, n, m in TARGET_CELLS:
-        graphs = cell_graphs(pkg, n, m, count)
+        graphs = [c() for c in gnm_calls(pkg, n, m, count)]
         targets = [pkg.exact_mis(g).witness for g in graphs]
         for cfg in pkg.parse_algorithms(names):
             runs[f"{cfg.name} target n={n} m={m}"] = [
                 partial(pkg.run_greedy, g, cfg, target=w) for g, w in zip(graphs, targets)]
     for m in pkg.density_grid(FULL_N):
-        graphs = cell_graphs(pkg, FULL_N, m, max(count // 5, 1))
+        graphs = [c() for c in gnm_calls(pkg, FULL_N, m, max(count // 5, 1))]
         for cfg in pkg.parse_algorithms(FULL_MEMBERS):
             runs[f"{cfg.name} full n={FULL_N} m={m}"] = [
                 partial(pkg.run_greedy, g, cfg) for g in graphs]
-    return {label: (calls, run_digest(c() for c in calls)) for label, calls in runs.items()}
+    return {label: (calls, [run_line(c()) for c in calls], {}) for label, calls in runs.items()}
 
 
 def fanout_cells(pkg, count: int) -> dict:
-    """Per fan-out cell: the pooled runner calls to time and their CSV digest."""
+    """Per fan-out cell: the pooled runner calls to time and their CSVs."""
     def call(runner, n_values, algos, runs, seed):
         cfg = pkg.ExperimentConfig(n_values, "4n", pkg.parse_algorithms(algos), runs, seed)
         return partial(runner, cfg, jobs=FANOUT_JOBS)
@@ -162,21 +180,14 @@ def fanout_cells(pkg, count: int) -> dict:
         f"fanout accuracy n=60,80 x{runs} runs": [
             call(pkg.run_accuracy_experiment, (60, 80), "a1", runs, SEED)],
     }
-    return {label: (calls, hashlib.sha256(b"".join(pkg.emit_csv(c()) for c in calls)).hexdigest())
+    return {label: (calls, [pkg.emit_csv(c()) for c in calls], {})
             for label, calls in cells.items()}
 
 
-def per_call_ms(calls) -> float:
-    start = time.perf_counter()
-    for call in calls:
-        call()
-    return (time.perf_counter() - start) * 1e3 / len(calls)
-
-
 def paired_ms(calls_b, calls_c, flip: int) -> tuple[list[float], list[float]]:
-    """Per graph, the milliseconds of its base and its change call, timed
-    back to back; base goes first on even graphs when ``flip`` is 0 and on
-    odd ones when it is 1."""
+    """Per call, the milliseconds of its base and its change, timed back
+    to back; base goes first on even calls when ``flip`` is 0 and on odd
+    ones when it is 1."""
     ms = ([], [])
     for r, pair in enumerate(zip(calls_b, calls_c)):
         for s in ((0, 1) if (r + flip) % 2 == 0 else (1, 0)):
@@ -187,41 +198,24 @@ def paired_ms(calls_b, calls_c, flip: int) -> tuple[list[float], list[float]]:
 
 
 def compare(base, change, cells, count: int, rounds: int) -> dict:
-    sides = (base, change)
-    oracle = [oracle_cells(p, cells, count) for p in sides]
-    members = [member_cells(p, count) | fanout_cells(p, count) for p in sides]
-    report = {}
-    for label in oracle[0]:
-        (cb, alphas_b, nodes_b), (cc, alphas_c, nodes_c) = oracle[0][label], oracle[1][label]
-        moved = [r for r, (x, y) in enumerate(zip(alphas_b, alphas_c)) if x != y]
+    sides = [oracle_cells(p, cells, count) | gnm_cells(p, count) | member_cells(p, count)
+             | fanout_cells(p, count) for p in (base, change)]
+    pairs = {label: (cell, sides[1][label]) for label, cell in sides[0].items()}
+    for label, ((_, out_b, _), (_, out_c, _)) in pairs.items():
+        moved = [r for r, (x, y) in enumerate(zip(out_b, out_c)) if x != y]
         if moved:
-            raise SystemExit(f"alpha differs at {label}, graphs {moved}")
-        report[label] = ((cb, cc), {"base_nodes": nodes_b, "change_nodes": nodes_c})
-    for label in members[0]:
-        (cb, db), (cc, dc) = members[0][label], members[1][label]
-        if db != dc:
-            raise SystemExit(f"digest differs at {label}")
-        report[label] = ((cb, cc), {"digest": db})
-    ms = {label: ([], []) for label in report}
-    per_graph = {label: ([], []) for label in oracle[0]}  # per side: per round, per graph
+            raise SystemExit(f"output differs at {label}, calls {moved}")
+    times = {label: ([], []) for label in pairs}  # per side: per round, per call
     for i in range(rounds):
-        for label, (calls, _) in report.items():
-            if label in per_graph:
-                for s, times in enumerate(paired_ms(*calls, flip=i % 2)):
-                    per_graph[label][s].append(times)
-                    ms[label][s].append(round(statistics.fmean(times), 4))
-            else:
-                for s in (0, 1) if i % 2 == 0 else (1, 0):
-                    ms[label][s].append(round(per_call_ms(calls[s]), 4))
+        for label, ((calls_b, _, _), (calls_c, _, _)) in pairs.items():
+            for s, ms in enumerate(paired_ms(calls_b, calls_c, flip=i % 2)):
+                times[label][s].append(ms)
     out = {}
-    for label, (_, extra) in report.items():
-        mb, mc = ms[label]
-        if label in per_graph:
-            gb, gc = ([statistics.median(g) for g in zip(*rows)] for rows in per_graph[label])
-            ratios = [c / b for b, c in zip(gb, gc)]
-            extra = {**extra,
-                     "paired_ratio_geomean": round(statistics.geometric_mean(ratios), 3),
-                     "graphs_slower": sum(r > 1 for r in ratios)}
+    for label, ((_, outputs, totals_b), (_, _, totals_c)) in pairs.items():
+        rows_b, rows_c = times[label]
+        mb, mc = ([round(statistics.fmean(ms), 4) for ms in rows] for rows in (rows_b, rows_c))
+        ratios = [statistics.median(c / b for b, c in zip(bs, cs))  # per call, over rounds
+                  for bs, cs in zip(zip(*rows_b), zip(*rows_c))]
         med_b, med_c = statistics.median(mb), statistics.median(mc)
         q1, _, q3 = statistics.quantiles(mb, n=4) if len(mb) > 1 else mb * 3
         out[label] = {
@@ -230,7 +224,11 @@ def compare(base, change, cells, count: int, rounds: int) -> dict:
             "ratio": round(med_c / med_b, 3),
             "change_wins": sum(c < b for b, c in zip(mb, mc)),
             "base_ms_quartiles": [round(q1, 4), round(q3, 4)],
-            **extra,
+            "digest": hashlib.sha256(b"".join(outputs)).hexdigest(),
+            **{f"base_{k}": v for k, v in totals_b.items()},
+            **{f"change_{k}": v for k, v in totals_c.items()},
+            "paired_ratio_geomean": round(statistics.geometric_mean(ratios), 3),
+            "graphs_slower": sum(r > 1 for r in ratios),
             "base_ms": mb,
             "change_ms": mc,
         }
@@ -248,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
                     help="git revision, or worktree (the default)")
     ap.add_argument("--rounds", type=int, default=7)
     ap.add_argument("--graphs", type=int, default=60,
-                    help="graphs per oracle and target cell; a fifth per full cell")
+                    help="graphs per oracle, generator and target cell; a fifth per full cell")
     ap.add_argument("--cells", type=parse_cells, default=CELLS, help="oracle cells n:m,n:m,...")
     args = ap.parse_args(argv)
     if args.rounds < 1 or args.graphs < 1:
