@@ -271,10 +271,12 @@ def _kept_pool(jobs: int):
         _pool[1].shutdown(wait=True)
         _pool = None
     if _pool is None:
-        from multiprocessing import Value
+        from multiprocessing import get_context
 
-        counter = Value("q", 0)
-        pool = ProcessPoolExecutor(max_workers=jobs, initializer=_set_claim, initargs=(counter,))
+        ctx = get_context()  # the counter's lock must come from the workers' start method
+        counter = ctx.Value("q", 0)
+        pool = ProcessPoolExecutor(max_workers=jobs, mp_context=ctx,
+                                   initializer=_set_claim, initargs=(counter,))
         _pool = jobs, pool, counter
     return _pool[1:]
 

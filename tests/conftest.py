@@ -19,7 +19,7 @@ def pools(monkeypatch, shutdowns):
     made = []
 
     class InProcessPool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers, mp_context, initializer, initargs):
             made.append(max_workers)
             self.max_workers = max_workers
             initializer(*initargs)

@@ -128,6 +128,18 @@ def alpha_digest(alpha_of: Callable[[Graph], int]) -> str:
     return h.hexdigest()
 
 
+def is_independent(g, s):
+    return all(not g.adjacent(u, v) for u, v in combinations(s, 2))
+
+
+def path(n):
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def complete(n):
+    return Graph(n, list(combinations(range(n), 2)))
+
+
 def star(t):
     """K_{1,t}: the hub 0 has degree t."""
     return Graph(t + 1, [(0, i) for i in range(1, t + 1)])

@@ -28,7 +28,7 @@ from greedymis import (
 from greedymis.engine import MAX_SEEDS, _delta_widths
 from greedymis.heuristics import score
 from greedymis.rng import SplitMix64, derive_seed
-from reference import lockstep_run, plane_width_graphs
+from reference import is_independent, lockstep_run, plane_width_graphs
 
 C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 K5 = Graph(5, list(itertools.combinations(range(5), 2)))
@@ -44,10 +44,6 @@ def seeded_graphs(count, max_n=14, base=5150):
         n = 4 + rng.below(max_n - 3)
         m = rng.below(n * (n - 1) // 2 + 1)
         yield random_gnm(n, m, seed=rng.next_u64())
-
-
-def is_independent(g, s):
-    return all(not g.adjacent(u, v) for u, v in itertools.combinations(s, 2))
 
 
 def assert_matches_lockstep(graphs, h, k):

@@ -18,7 +18,7 @@ from greedymis import (
 )
 from greedymis.exact import RELABEL_MIN_N, _smallest_last
 from greedymis.rng import SplitMix64, derive_seed
-from reference import alpha_digest, clique_alpha, plane_width_graphs
+from reference import alpha_digest, clique_alpha, complete, is_independent, plane_width_graphs
 
 PETERSEN = Graph(
     10,
@@ -28,17 +28,9 @@ PETERSEN = Graph(
 )
 
 
-def complete(n):
-    return Graph(n, list(itertools.combinations(range(n), 2)))
-
-
 def disjoint_triangles(k):
     return Graph(3 * k, [e for t in range(0, 3 * k, 3)
                          for e in ((t, t + 1), (t + 1, t + 2), (t, t + 2))])
-
-
-def is_independent(g, s):
-    return all(not g.adjacent(u, v) for u, v in itertools.combinations(s, 2))
 
 
 @st.composite

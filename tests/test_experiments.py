@@ -478,13 +478,17 @@ class TestMapRuns:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
-    @pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods(),
-                        reason="no forkserver start method on this platform")
-    def test_forkserver_pool_matches_serial(self):
-        # forkserver is Linux's default start method from Python 3.14 on
+    @pytest.mark.parametrize("method", [
+        # Linux's default start method from Python 3.14 on
+        pytest.param("forkserver", marks=pytest.mark.skipif(
+            "forkserver" not in multiprocessing.get_all_start_methods(),
+            reason="no forkserver start method on this platform")),
+        "spawn",  # the default on macOS and Windows
+    ])
+    def test_non_fork_pool_matches_serial(self, method):
         script = (
             "import multiprocessing, os\n"
-            "multiprocessing.set_start_method('forkserver')\n"
+            f"multiprocessing.set_start_method({method!r})\n"
             "import greedymis as gm\n"
             "from greedymis import experiments\n"
             "os.sched_getaffinity = lambda pid: {0, 1}  # a pool on any host\n"
@@ -496,7 +500,7 @@ class TestMapRuns:
         )
         proc = _python(script)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "True True forkserver\n", proc.stderr
+        assert proc.stdout == f"True True {method}\n", proc.stderr
 
 
 class TestEmission:

@@ -9,12 +9,9 @@ from hypothesis import strategies as st
 from greedymis import Graph, GraphError, induced_subgraph, non_neighbors, random_gnm
 from greedymis.graph import MAX_VERTICES, degree_planes
 from greedymis.rng import derive_seed
+from reference import path
 
 ALL_PAIRS_5 = list(itertools.combinations(range(5), 2))
-
-
-def path(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 @st.composite

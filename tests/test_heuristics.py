@@ -1,6 +1,5 @@
 """Stability scoring and candidate evaluation."""
 
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,14 +8,7 @@ from hypothesis import strategies as st
 
 from greedymis import Graph, Heuristic, non_neighbors, random_gnm, score, stability
 from greedymis.rng import SplitMix64
-
-
-def path(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def complete(n):
-    return Graph(n, list(itertools.combinations(range(n), 2)))
+from reference import complete, path
 
 
 class TestStability:

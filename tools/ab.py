@@ -1,5 +1,5 @@
-"""Paired per-call A/B timing of ``exact_mis``, the greedy members,
-``random_gnm`` and the pooled runners between two revisions of the package.
+"""Paired per-call A/B timing of ``exact_mis``, the greedy members and
+``random_gnm`` between two revisions of the package.
 
 Each side's ``src/greedymis`` is extracted into a temporary directory
 under its own package name, ``ab_base`` and ``ab_change``, so both import
@@ -23,32 +23,24 @@ totals:
   (a fifth of ``--graphs``, at least one, each).  The output is the
   run's witness, counters, generation sizes and ``complete``, so a change
   that moves an oracle witness fails the target cells.
-* fan-out: whole runner calls at ``jobs=2`` through the process pool,
-  as ``run_failure_experiment`` on 24-run n=30 m=4n a1,a2,b2 units (a
-  sixth of ``--graphs`` units, at least one, base seeds 1, 2, ...) and
-  one ``run_accuracy_experiment`` call at n=60,80 m=4n a1 (a third of
-  ``--graphs`` runs per cell, at least one).  The output is the call's
-  CSV.  Each side keeps its own pool; the call that takes the output
-  also starts it.
 
 Every cell is timed the same way, in ``--rounds`` rounds: each call's
 base and change run back to back, the side that goes first alternating
 from call to call and from round to round.  The tool prints one JSON
-object: per cell, each side's mean milliseconds per call in each round,
-their medians and the base's quartiles, the ratio change / base of the
-medians, the rounds the change won, the SHA-256 of the outputs and any
-per-side totals.  The paired figures take each call's ratio change /
-base within a round, so drift in the host's speed between rounds
-cancels: ``paired_ratio_geomean`` is the geometric mean over the calls
-of each call's median ratio over the rounds, and ``graphs_slower`` the
-number of calls whose median ratio is above 1.
-
+object with, per cell: the SHA-256 of the outputs, any per-side totals,
+each side's median over the rounds of its mean milliseconds per call
+(the scale of a call), and the paired verdict.  That verdict takes each
+call's ratio change / base within a round, so drift in the host's speed
+between rounds cancels: ``paired_ratio_geomean`` is the geometric mean
+over the calls of each call's median ratio over the rounds, and
+``graphs_slower`` the number of calls whose median ratio is above 1.
 HEAD against HEAD at ``--rounds 7 --cells 20:80`` (three runs, 2-core
-Xeon, Python 3.11.7), ``paired_ratio_geomean`` read 0.982-1.014 on the
-member cells and 0.991-1.004 on the generator cells, but 1.004-1.030 and
-0.965-1.091 on the two fan-out cells: the pool's scheduling does not
-pair.  A fan-out verdict belongs to the benchmark's ``failure-n30``
-workload; these cells check the CSV bytes and catch gross changes.
+Xeon, Python 3.11.7) it read 0.982-1.014 on the member cells and
+0.991-1.004 on the generator cells.
+
+Take an oracle, generator or member verdict from
+``paired_ratio_geomean``.  The tool times no process pool: take a
+fan-out verdict only from the benchmark's ``failure-n30`` workload.
 
 Run from the repository root, or anywhere inside the checkout::
 
@@ -56,8 +48,8 @@ Run from the repository root, or anywhere inside the checkout::
     python tools/ab.py --base HEAD~1 --change HEAD --rounds 11
     python tools/ab.py --cells 80:320,25:300    # n:m oracle cells
 
-It exits 1 when an output differs: an alpha, a graph, a run or a CSV.
-The default 7 rounds take about 95 s (2-core Xeon, Python 3.11.7).
+It exits 1 when an output differs: an alpha, a graph or a run.
+The default 7 rounds take about 110 s (2-core Xeon, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -87,9 +79,6 @@ GNM_N = (20, 30, 40, 80)  # generator cells, m = 4n
 # members run to each side's own oracle witness, then full over density_grid
 TARGET_CELLS = (("a1,b1,a2,b2", 20, 80), ("a1,a2,b2", 30, 120))
 FULL_N, FULL_MEMBERS = 40, "a1,b1"
-# pooled runner calls: the failure-n30 benchmark unit, and a multi-cell
-# accuracy call whose per-run cost is heavy-tailed
-FANOUT_JOBS = 2
 
 
 def extract(rev: str, dest: Path, name: str) -> None:
@@ -166,24 +155,6 @@ def member_cells(pkg, count: int) -> dict:
     return {label: (calls, [run_line(c()) for c in calls], {}) for label, calls in runs.items()}
 
 
-def fanout_cells(pkg, count: int) -> dict:
-    """Per fan-out cell: the pooled runner calls to time and their CSVs."""
-    def call(runner, n_values, algos, runs, seed):
-        cfg = pkg.ExperimentConfig(n_values, "4n", pkg.parse_algorithms(algos), runs, seed)
-        return partial(runner, cfg, jobs=FANOUT_JOBS)
-
-    units, runs = max(count // 6, 1), max(count // 3, 1)
-    cells = {
-        f"fanout failure n=30 24 runs x{units} units": [
-            call(pkg.run_failure_experiment, (30,), "a1,a2,b2", 24, SEED + u)
-            for u in range(units)],
-        f"fanout accuracy n=60,80 x{runs} runs": [
-            call(pkg.run_accuracy_experiment, (60, 80), "a1", runs, SEED)],
-    }
-    return {label: (calls, [pkg.emit_csv(c()) for c in calls], {})
-            for label, calls in cells.items()}
-
-
 def paired_ms(calls_b, calls_c, flip: int) -> tuple[list[float], list[float]]:
     """Per call, the milliseconds of its base and its change, timed back
     to back; base goes first on even calls when ``flip`` is 0 and on odd
@@ -199,7 +170,7 @@ def paired_ms(calls_b, calls_c, flip: int) -> tuple[list[float], list[float]]:
 
 def compare(base, change, cells, count: int, rounds: int) -> dict:
     sides = [oracle_cells(p, cells, count) | gnm_cells(p, count) | member_cells(p, count)
-             | fanout_cells(p, count) for p in (base, change)]
+             for p in (base, change)]
     pairs = {label: (cell, sides[1][label]) for label, cell in sides[0].items()}
     for label, ((_, out_b, _), (_, out_c, _)) in pairs.items():
         moved = [r for r, (x, y) in enumerate(zip(out_b, out_c)) if x != y]
@@ -213,30 +184,32 @@ def compare(base, change, cells, count: int, rounds: int) -> dict:
     out = {}
     for label, ((_, outputs, totals_b), (_, _, totals_c)) in pairs.items():
         rows_b, rows_c = times[label]
-        mb, mc = ([round(statistics.fmean(ms), 4) for ms in rows] for rows in (rows_b, rows_c))
         ratios = [statistics.median(c / b for b, c in zip(bs, cs))  # per call, over rounds
                   for bs, cs in zip(zip(*rows_b), zip(*rows_c))]
-        med_b, med_c = statistics.median(mb), statistics.median(mc)
-        q1, _, q3 = statistics.quantiles(mb, n=4) if len(mb) > 1 else mb * 3
         out[label] = {
-            "base_ms_median": round(med_b, 4),
-            "change_ms_median": round(med_c, 4),
-            "ratio": round(med_c / med_b, 3),
-            "change_wins": sum(c < b for b, c in zip(mb, mc)),
-            "base_ms_quartiles": [round(q1, 4), round(q3, 4)],
             "digest": hashlib.sha256(b"".join(outputs)).hexdigest(),
             **{f"base_{k}": v for k, v in totals_b.items()},
             **{f"change_{k}": v for k, v in totals_c.items()},
+            "base_ms_median": round(statistics.median(map(statistics.fmean, rows_b)), 4),
+            "change_ms_median": round(statistics.median(map(statistics.fmean, rows_c)), 4),
             "paired_ratio_geomean": round(statistics.geometric_mean(ratios), 3),
             "graphs_slower": sum(r > 1 for r in ratios),
-            "base_ms": mb,
-            "change_ms": mc,
         }
     return out
 
 
 def parse_cells(text: str) -> tuple[tuple[int, int], ...]:
-    return tuple(tuple(map(int, c.split(":"))) for c in text.split(","))
+    """``n:m,n:m,...``, each with 0 <= m <= n(n-1)/2 as ``random_gnm`` takes."""
+    cells = []
+    for cell in text.split(","):
+        try:
+            n, m = map(int, cell.split(":"))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"cell {cell!r} is not n:m") from None
+        if n < 0 or not 0 <= m <= n * (n - 1) // 2:
+            raise argparse.ArgumentTypeError(f"cell {cell!r} needs n >= 0, 0 <= m <= n(n-1)/2")
+        cells.append((n, m))
+    return tuple(cells)
 
 
 def main(argv: list[str] | None = None) -> int:
