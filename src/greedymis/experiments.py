@@ -15,10 +15,8 @@ reproducible and reruns are byte-identical.
 
 from __future__ import annotations
 
-import atexit
 import os
 import re
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -210,32 +208,6 @@ def _counter_worker(args):
     return out
 
 
-# bound at the first pooled call: importing it loads multiprocessing, which
-# ``import greedymis`` and serial runs never need
-ProcessPoolExecutor = None
-_pool: tuple | None = None  # (workers, pool, run counter), kept for the process
-_pool_lock = threading.Lock()  # held across get-or-replace and the whole call
-_claim = None  # in a pool worker: the run counter its pool shares
-
-
-def _forget_pool() -> None:
-    """In a forked child: the inherited pool has no manager thread, the lock may be held."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # absent where there is no fork
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-@atexit.register
-def _drop_pool() -> None:
-    """At exit, drop the kept pool while ``concurrent.futures`` can still
-    collect it: imported after this module, it is torn down first."""
-    global _pool
-    _pool = None
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the
     platform has one (``taskset`` narrows it), else the host's count."""
@@ -244,97 +216,21 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _set_claim(counter) -> None:
-    """Pool initializer: keep the pool's shared run counter in the worker."""
-    global _claim
-    _claim = counter
-
-
-def _drain(worker, argslist):
-    """In a pool worker: claim run indices from the shared counter until it
-    passes the end; return ``[(index, result), ...]`` in one reply."""
-    done = []
-    while True:
-        with _claim.get_lock():
-            i = _claim.value
-            _claim.value = i + 1
-        if i >= len(argslist):
-            return done
-        done.append((i, worker(argslist[i])))
-
-
-def _kept_pool(jobs: int):
-    """The kept pool at ``jobs`` workers and its run counter, started or
-    replaced as needed; hold the lock."""
-    global _pool
-    if _pool is not None and _pool[0] != jobs:
-        _pool[1].shutdown(wait=True)
-        _pool = None
-    if _pool is None:
-        from multiprocessing import get_context
-
-        ctx = get_context()  # the counter's lock must come from the workers' start method
-        counter = ctx.Value("q", 0)
-        pool = ProcessPoolExecutor(max_workers=jobs, mp_context=ctx,
-                                   initializer=_set_claim, initargs=(counter,))
-        _pool = jobs, pool, counter
-    return _pool[1:]
-
-
-def _start_drains(jobs: int, worker, argslist):
-    """Reset the kept pool's counter and submit one drain per worker; hold the lock."""
-    pool, counter = _kept_pool(jobs)
-    counter.value = 0
-    return counter, [pool.submit(_drain, worker, argslist) for _ in range(jobs)]
-
-
 def _map_runs(worker, argslist, jobs: int):
     """``[worker(a) for a in argslist]``, on at most ``jobs`` processes.
 
-    The worker count is capped at the run count and at the CPUs this
-    process may use (its affinity mask, else ``os.cpu_count()``).  A call
-    left with one worker runs in-process and imports no process machinery.
-    Otherwise each worker gets one task, which claims run after run from a
-    counter the pool's workers share and sends all its results back in one
-    message, so load balances run by run at one round trip per worker.
-    The counter is reset at the start of each call; before the call
-    returns or raises, it is moved past the end and every task is waited
-    for, so no task of this call can take a run of the next.  The process
-    pool is started at the first call that needs more than one worker and
-    kept for the life of the process, so repeated pooled experiments in
-    one process skip its start-up; its idle workers keep their memory
-    meanwhile.  A call with a different worker count shuts it down and
-    starts a new one.  A call during which a worker dies raises
-    ``BrokenProcessPool``; a pool found broken at submit (a worker died
-    since the last call) is replaced and the call goes on.  A forked child
-    starts its own pool.  ``concurrent.futures`` reaps the workers at
-    interpreter exit.  Workers see module state as of the pool's start: a
-    monkeypatch made later reaches serial runs only.  Results keep run
-    order at any ``jobs``.
+    The count is capped at the run count and at the CPUs this process may
+    use (its affinity mask, else ``os.cpu_count()``).  One process runs the
+    list in-process; more run it through ``fanout.pooled_map``, which is
+    imported here, at the first pooled call, with its process machinery.
+    Results keep run order at any ``jobs``.
     """
-    global _pool, ProcessPoolExecutor
-    jobs = min(jobs, len(argslist), _usable_cpus())  # the pool starts all up front
+    jobs = min(jobs, len(argslist), _usable_cpus())  # every worker starts up front
     if jobs <= 1:
         return [worker(a) for a in argslist]
-    from concurrent.futures import as_completed, process, wait
+    from .fanout import pooled_map
 
-    if ProcessPoolExecutor is None:
-        ProcessPoolExecutor = process.ProcessPoolExecutor
-    results = [None] * len(argslist)
-    with _pool_lock:
-        try:
-            counter, tasks = _start_drains(jobs, worker, argslist)
-        except process.BrokenProcessPool:  # a worker died since the last call
-            _pool = None
-            counter, tasks = _start_drains(jobs, worker, argslist)
-        try:
-            for task in as_completed(tasks):  # a raising run ends the call at once
-                for i, result in task.result():
-                    results[i] = result
-        finally:  # stop the claims and let no task outlive the call
-            counter.value = len(argslist)
-            wait(tasks)
-    return results
+    return pooled_map(worker, argslist, jobs)
 
 
 def _cell_results(cfg: ExperimentConfig, worker, jobs: int, *extra):

@@ -11,8 +11,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .rng import SplitMix64
-
 VertexSet = tuple[int, ...]
 """Canonical vertex set: strictly increasing tuple of vertex ids."""
 
@@ -102,6 +100,14 @@ class Graph:
         self.n = n
         self.adj = tuple(adj)
 
+    @classmethod
+    def _trusted(cls, n: int, adj: list[int]) -> Graph:
+        """The graph of symmetric, loop-free masks ``adj`` over 0..n-1, unchecked."""
+        g = cls.__new__(cls)
+        g.n = n
+        g.adj = tuple(adj)
+        return g
+
     @property
     def m(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
@@ -172,33 +178,47 @@ def induced_subgraph(g: Graph, members: Iterable[int]) -> Graph:
     return Graph(len(s), edges)
 
 
-def _unrank_pairs(n: int, ranks: list[int]) -> list[tuple[int, int]]:
-    """Map sorted ranks in [0, C(n,2)) to pairs (u, v), u < v, in lexicographic order."""
-    edges = []
-    u, base, width = 0, 0, n - 1
-    for r in ranks:
-        while r >= base + width:
-            base += width
-            u += 1
-            width = n - 1 - u
-        edges.append((u, u + 1 + (r - base)))
-    return edges
-
-
 def random_gnm(n: int, m: int, seed: int) -> Graph:
     """Uniform random graph with exactly ``m`` distinct edges.
 
     The edge set is an m-subset drawn uniformly from all C(n,2) vertex pairs
     (Floyd's sampling algorithm over pair ranks), driven by the package
-    SplitMix64 stream, so a seed pins the graph exactly.
+    SplitMix64 stream, so a seed pins the graph exactly.  The draws are
+    ``SplitMix64(seed).below(j + 1)`` for j = C(n,2) - m .. C(n,2) - 1,
+    inlined: each step adds the golden gamma to the state and mixes it as
+    ``mix64`` does, and ``below``'s top-bits rejection redraws until the
+    value is at most j.  ``below(1)`` draws nothing.
     """
     _check_vertex_count(n)  # before sampling, whose work grows with n
     npairs = n * (n - 1) // 2
     if not 0 <= m <= npairs:
         raise GraphError(f"m={m} out of range for n={n} (max {npairs})")
-    rng = SplitMix64(seed)
+    state = seed & 0xFFFFFFFFFFFFFFFF
     chosen: set[int] = set()
-    for j in range(npairs - m, npairs):
-        t = rng.below(j + 1)
+    start = npairs - m
+    if start == 0 < m:  # below(1) is 0 without a draw
+        chosen.add(0)
+        start = 1
+    for j in range(start, npairs):
+        shift = 64 - j.bit_length()
+        while True:
+            state = (state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+            z = (state ^ state >> 30) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+            z = (z ^ z >> 27) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+            t = (z ^ z >> 31) >> shift
+            if t <= j:
+                break
         chosen.add(j if t in chosen else t)
-    return Graph(n, _unrank_pairs(n, sorted(chosen)))
+    # unrank in lexicographic order: rank r of row u is the pair (u, r + off)
+    adj = [0] * n
+    u, off, end, width = 0, 1, n - 1, n - 1
+    for r in sorted(chosen):
+        while r >= end:
+            u += 1
+            off += 1 - width
+            width -= 1
+            end += width
+        v = r + off
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph._trusted(n, adj)

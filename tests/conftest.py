@@ -1,10 +1,12 @@
 """Fixtures shared by the test modules."""
 
-from concurrent.futures import Future
+import pickle
+from contextlib import nullcontext
+from types import SimpleNamespace
 
 import pytest
 
-from greedymis import experiments
+from greedymis import fanout
 
 
 @pytest.fixture
@@ -14,29 +16,32 @@ def shutdowns():
 
 @pytest.fixture
 def pools(monkeypatch, shutdowns):
-    """Record each pool's max_workers; run its initializer and each task
-    in-process, start no worker."""
+    """Record the worker count (jobs - 1) of each kept set started; drain
+    each worker's job in-process at send, start no process."""
     made = []
 
-    class InProcessPool:
-        def __init__(self, max_workers, mp_context, initializer, initargs):
-            made.append(max_workers)
-            self.max_workers = max_workers
-            initializer(*initargs)
+    class InProcessWorkers:
+        def __init__(self, count):
+            made.append(count)
+            self.procs = [None] * count
+            self.counter = SimpleNamespace(value=0, get_lock=nullcontext)
 
-        def shutdown(self, wait=True):
-            shutdowns.append((self.max_workers, wait))
+        def send(self, payload):
+            worker, argslist = pickle.loads(payload)
+            self.done = []
+            for _ in self.procs:
+                try:
+                    self.done.append(fanout._drain(self.counter, worker, argslist))
+                except Exception as exc:  # sent back, as from a worker
+                    self.done.append(exc)
 
-        def submit(self, fn, *args):
-            future = Future()
-            try:
-                future.set_result(fn(*args))
-            except Exception as exc:  # read back through the future, as from a worker
-                future.set_exception(exc)
-            return future
+        def replies(self):
+            return self.done
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
-    # the kept pool would bypass the fake; the real one is restored afterwards
-    monkeypatch.setattr(experiments, "_pool", None)
-    monkeypatch.setattr(experiments, "_claim", None)  # the initializer sets it here
+        def stop(self):
+            shutdowns.append(len(self.procs))
+
+    monkeypatch.setattr(fanout, "_Workers", InProcessWorkers)
+    # the kept workers would bypass the fake; the real ones are restored afterwards
+    monkeypatch.setattr(fanout, "_pool", None)
     return made

@@ -14,6 +14,10 @@ independence number as the largest clique of the complement graph.
 ALPHA_CELLS, which ``tools/alpha_digest.py`` computes with
 ``clique_alpha`` and the tests with ``exact_mis``.
 
+``floyd_gnm`` is ``random_gnm`` written plainly: Floyd's sampling over
+pair ranks with ``SplitMix64.below``, a sorted unrank and ``Graph(n,
+edges)``.
+
 ``plane_width_graphs`` lists small stars, wheels and stars joined to a
 path whose largest degrees sit on both sides of every change in the
 number of bit planes that the oracle and heuristic a keep.
@@ -29,7 +33,7 @@ from itertools import combinations
 from typing import Callable, NamedTuple
 
 from greedymis import Graph, Heuristic, random_gnm, score
-from greedymis.rng import derive_seed
+from greedymis.rng import SplitMix64, derive_seed
 
 
 class LockstepRun(NamedTuple):
@@ -126,6 +130,18 @@ def alpha_digest(alpha_of: Callable[[Graph], int]) -> str:
             g = random_gnm(n, m, seed=derive_seed(60, n, m, r))
             h.update(f"{n},{m},{r}:{alpha_of(g)}\n".encode())
     return h.hexdigest()
+
+
+def floyd_gnm(n: int, m: int, seed: int) -> Graph:
+    """The m-edge graph that ``random_gnm(n, m, seed)`` must return."""
+    npairs = n * (n - 1) // 2
+    rng = SplitMix64(seed)
+    chosen: set[int] = set()
+    for j in range(npairs - m, npairs):
+        t = rng.below(j + 1)
+        chosen.add(j if t in chosen else t)
+    pairs = list(combinations(range(n), 2))  # rank r is the r-th pair in lexicographic order
+    return Graph(n, [pairs[r] for r in sorted(chosen)])
 
 
 def is_independent(g, s):

@@ -180,7 +180,7 @@ class TestExperiment:
             "--runs", "8", "--jobs", "64",
         ]
         assert main(args) == 0
-        assert pools == [2]
+        assert pools == [1]  # the caller is the second process
 
     def test_jobs_flag_identical_output(self, tmp_path):
         outs = []

@@ -289,8 +289,11 @@ class TestWorkloadExperiment:
             emit_plot(report)
 
 
-def _exit_worker(_):
-    os._exit(1)  # a worker process that dies mid-task breaks the pool
+def _exit_in_worker(x):
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)  # a worker process that dies mid-call breaks the pool
+    time.sleep(0.05)  # the caller drains too: leave runs for the worker
+    return x
 
 
 def _logged_worker(args):
@@ -307,6 +310,30 @@ def _raise_on_first(r):
     return r
 
 
+def _logged_raise_on_first(args):
+    path, r = args
+    with open(path, "a") as f:
+        if r == 0:
+            f.write("raise\n")
+            raise ValueError("run 0")
+    time.sleep(0.05)
+    with open(path, "a") as f:
+        f.write(f"{r}\n")
+    return r
+
+
+def _slow_in_worker(x):
+    time.sleep(1.0 if multiprocessing.parent_process() is not None else 0.05)
+    return x
+
+
+def _lock_in_worker(x):
+    if multiprocessing.parent_process() is not None:
+        return threading.Lock()  # a result that does not pickle
+    time.sleep(0.05)  # the caller drains too: leave runs for the worker
+    return x
+
+
 def _slow_abs(x):
     time.sleep(0.01)
     return abs(x)
@@ -321,6 +348,15 @@ def _python(script: str) -> subprocess.CompletedProcess:
     )
 
 
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 class TestMapRuns:
     @pytest.fixture(autouse=True)
     def cpus(self, monkeypatch):
@@ -331,7 +367,7 @@ class TestMapRuns:
         assert experiments._map_runs(abs, [-1, -2], 64) == [1, 2]
         assert experiments._map_runs(abs, [-3], 64) == [3]  # serial
         assert experiments._map_runs(abs, [], 64) == []
-        assert pools == [2]
+        assert pools == [1]  # the caller is the second process
 
     def test_workers_capped_at_cpu_count(self, pools, monkeypatch):
         cfg = ExperimentConfig((10,), "4n", parse_algorithms("a1"), 8, 1)
@@ -347,28 +383,28 @@ class TestMapRuns:
         assert emit_csv(run_failure_experiment(cfg, jobs=5000)) == serial
         monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: run serially
         assert emit_csv(run_failure_experiment(cfg, jobs=5000)) == serial
-        assert pools == [2, 3]
+        assert pools == [1, 2]
 
     def test_runner_with_few_runs_and_many_jobs(self, pools):
         cfg = ExperimentConfig((10,), (9,), parse_algorithms("a1"), 2, 1)
         serial = emit_csv(run_workload_experiment(cfg))
         assert emit_csv(run_workload_experiment(cfg, jobs=64)) == serial
-        assert pools == [2]
+        assert pools == [1]
 
     def test_experiments_at_one_width_share_one_pool(self, pools, shutdowns):
         cfg = ExperimentConfig((10,), (9, 22), parse_algorithms("a1"), 3, 1)
         serial = emit_csv(run_workload_experiment(cfg))
         assert emit_csv(run_workload_experiment(cfg, jobs=2)) == serial
         assert emit_csv(run_workload_experiment(cfg, jobs=2)) == serial
-        assert pools == [2]
+        assert pools == [1]
         assert shutdowns == []
 
     def test_width_change_replaces_the_pool(self, pools, shutdowns):
         assert experiments._map_runs(abs, [-1, -2, -3], 2) == [1, 2, 3]
         assert experiments._map_runs(abs, [-1, -2, -3], 3) == [1, 2, 3]
         assert experiments._map_runs(abs, [-4], 3) == [4]  # serial: no pool touched
-        assert pools == [2, 3]
-        assert shutdowns == [(2, True)]
+        assert pools == [1, 2]
+        assert shutdowns == [1]
 
     @pytest.mark.parametrize("runs", [2, 3, 60])  # fewer, as many and more than jobs
     def test_each_run_executed_once_in_run_order(self, runs, tmp_path):
@@ -378,17 +414,55 @@ class TestMapRuns:
         assert sorted(map(int, log.read_text().split())) == list(range(runs))
 
     def test_raising_call_leaves_no_run_to_the_next(self):
-        # one worker raises on run 0 while the other sleeps in run 1; a drain
-        # left running would wake to claim runs of the next call
+        # the caller, first to claim, raises on run 0 while the worker sleeps
+        # in run 1; the call must read the worker's reply before it raises,
+        # else the worker's drain would wake to claim runs of the next call
+        # and its reply would reach that call
+        assert experiments._map_runs(abs, [-1, -2], 2) == [1, 2]
+        workers = [p.pid for p in multiprocessing.active_children()]
         with pytest.raises(ValueError, match="run 0"):
             experiments._map_runs(_raise_on_first, list(range(40)), 2)
+        assert [p.pid for p in multiprocessing.active_children()] == workers  # kept
         args = list(range(-1, -41, -1))
         assert experiments._map_runs(_slow_abs, args, 2) == [abs(a) for a in args]
 
+    def test_raising_run_stops_the_callers_drain(self, tmp_path):
+        log = tmp_path / "runs.log"
+        args = [(str(log), r) for r in range(40)]
+        with pytest.raises(ValueError, match="run 0"):
+            experiments._map_runs(_logged_raise_on_first, args, 2)
+        lines = log.read_text().split()
+        # at most the run in progress elsewhere and one claimed before the counter moved
+        assert len(lines) - 1 - lines.index("raise") <= 2, lines
+        args = [(str(tmp_path / "next.log"), r) for r in range(40)]
+        assert experiments._map_runs(_logged_worker, args, 2) == list(range(40))
+
+    def test_interrupt_mid_exchange_leaves_no_reply_to_the_next(self):
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        handler = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            # fires while the caller, its runs done, waits for the worker's reply
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(KeyboardInterrupt):
+                experiments._map_runs(_slow_in_worker, list(range(4)), 2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, handler)
+        assert experiments._map_runs(abs, [-1, -2, -3], 2) == [1, 2, 3]
+
     def test_broken_pool_is_replaced(self):
         with pytest.raises(BrokenProcessPool):
-            experiments._map_runs(_exit_worker, [1, 2, 3, 4], 2)
+            experiments._map_runs(_exit_in_worker, list(range(8)), 2)
         assert experiments._map_runs(abs, [-1, -2, -3], 2) == [1, 2, 3]
+
+    def test_result_that_does_not_pickle_reaches_the_caller(self):
+        with pytest.raises(TypeError, match="pickle"):
+            experiments._map_runs(_lock_in_worker, list(range(8)), 2)
+        workers = [p.pid for p in multiprocessing.active_children()]
+        assert experiments._map_runs(abs, [-1, -2, -3], 2) == [1, 2, 3]
+        assert [p.pid for p in multiprocessing.active_children()] == workers  # none died
 
     def test_threads_at_mixed_widths_match_serial(self):
         cfg = ExperimentConfig((12,), "4n", parse_algorithms("a1,b1"), 8, 5)
@@ -419,47 +493,46 @@ class TestMapRuns:
         assert experiments._map_runs(abs, [-1, -2], 2) == [1, 2]
         victim = multiprocessing.active_children()[0].pid
         os.kill(victim, signal.SIGKILL)
-        # the pool marks itself broken, then reaps its workers
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            try:
-                os.kill(victim, 0)
-            except ProcessLookupError:
-                break
-            time.sleep(0.01)
+        os.waitid(os.P_PID, victim, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
         assert experiments._map_runs(abs, [-3, -4], 2) == [3, 4]
+        with pytest.raises(ProcessLookupError):  # the call reaped it
+            os.kill(victim, 0)
 
     def test_forked_child_starts_its_own_pool(self):
         script = (
-            "import os, signal, sys\n"
+            "import multiprocessing, os, signal, sys, time\n"
             "import greedymis as gm\n"
-            "from greedymis import experiments\n"
+            "from greedymis import fanout\n"
             "cfg = gm.ExperimentConfig((10,), '4n', gm.parse_algorithms('a1'), 4, 1)\n"
             "first = gm.emit_csv(gm.run_failure_experiment(cfg, jobs=2))\n"
-            "experiments._pool_lock.acquire()  # as if another thread were mid-call\n"
+            "workers = [p.pid for p in multiprocessing.active_children()]\n"
+            "fanout._pool_lock.acquire()  # as if another thread were mid-call\n"
             "pid = os.fork()\n"
             "if pid == 0:\n"
             "    signal.alarm(20)  # ends a child whose call never returns\n"
             "    sys.exit(gm.emit_csv(gm.run_failure_experiment(cfg, jobs=2)) != first)\n"
-            "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+            "code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])\n"
+            "time.sleep(0.2)  # a worker the child's exit terminated is gone by now\n"
+            "print(code, [p.pid for p in multiprocessing.active_children()] == workers)\n"
         )
         proc = _python(script)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "0\n", proc.stderr
+        assert proc.stdout == "0 True\n", proc.stderr
+        assert proc.stderr == ""
 
     def test_serial_runs_never_load_the_pool(self):
         script = (
             "import sys\n"
             "import greedymis\n"
-            "print('concurrent.futures.process' in sys.modules)\n"
+            "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)\n"
             "from greedymis.cli import main\n"
             "main(['experiment', 'failure', '--n', '10', '--m', '4n', '--algos', 'a1',\n"
             "      '--runs', '4', '--jobs', '1'])\n"
-            "print('concurrent.futures.process' in sys.modules, 'multiprocessing' in sys.modules)\n"
+            "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)\n"
         )
         proc = _python(script)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[0] == "False"
+        assert proc.stdout.splitlines()[0] == "False False"
         assert proc.stdout.splitlines()[-1] == "False False"
 
     def test_workers_are_reaped_at_exit(self):
@@ -473,10 +546,37 @@ class TestMapRuns:
         proc = _python(script)
         assert proc.returncode == 0, proc.stderr
         pids = [int(p) for p in proc.stdout.split()]
-        assert len(pids) == 2
+        assert len(pids) == 1  # one worker beside the caller
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_workers_exit_when_the_caller_is_killed(self, tmp_path):
+        pid_file = tmp_path / "pids"
+        script = (
+            "import multiprocessing, os, signal, sys\n"
+            "import greedymis as gm\n"
+            "cfg = gm.ExperimentConfig((10,), '4n', gm.parse_algorithms('a1'), 4, 1)\n"
+            "gm.run_failure_experiment(cfg, jobs=2)\n"
+            "with open(sys.argv[1], 'w') as f:\n"
+            "    print(*[p.pid for p in multiprocessing.active_children()], file=f)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)  # no exit handler runs\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(experiments.__file__).parent.parent))
+        # no pipe to the script: a worker that outlived it would hold the pipe open
+        proc = subprocess.run([sys.executable, "-c", script, str(pid_file)], env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=60)
+        assert proc.returncode == -signal.SIGKILL
+        pids = [int(p) for p in pid_file.read_text().split()]
+        assert len(pids) == 1
+        deadline = time.monotonic() + 10
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = list(filter(_running, pids))
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)  # leave no worker behind
+        assert left == []
 
     @pytest.mark.parametrize("method", [
         # Linux's default start method from Python 3.14 on
@@ -490,17 +590,17 @@ class TestMapRuns:
             "import multiprocessing, os\n"
             f"multiprocessing.set_start_method({method!r})\n"
             "import greedymis as gm\n"
-            "from greedymis import experiments\n"
+            "from greedymis import fanout\n"
             "os.sched_getaffinity = lambda pid: {0, 1}  # a pool on any host\n"
             "cfg = gm.ExperimentConfig((20, 30), '4n', gm.parse_algorithms('a1,b2'), 100, 1)\n"
             "serial = gm.emit_csv(gm.run_failure_experiment(cfg))\n"
             "pooled = gm.emit_csv(gm.run_failure_experiment(cfg, jobs=2))\n"
-            "print(experiments._pool is not None, pooled == serial,\n"
+            "print(len(fanout._pool.procs), pooled == serial,\n"
             "      multiprocessing.get_start_method())\n"
         )
         proc = _python(script)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == f"True True {method}\n", proc.stderr
+        assert proc.stdout == f"1 True {method}\n", proc.stderr
 
 
 class TestEmission:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from greedymis import Graph, GraphError, induced_subgraph, non_neighbors, random_gnm
 from greedymis.graph import MAX_VERTICES, degree_planes
 from greedymis.rng import derive_seed
-from reference import path
+from reference import floyd_gnm, path
 
 ALL_PAIRS_5 = list(itertools.combinations(range(5), 2))
 
@@ -99,6 +99,19 @@ class TestRandomGnm:
         # n * (n - 1) // 2 is positive for n < 0 too; m = 3 used to hang
         with pytest.raises(GraphError):
             random_gnm(-5, m, seed=0)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_small_counts_match_the_plain_sampler(self, n):
+        npairs = n * (n - 1) // 2
+        for m in sorted({0, 1, npairs - 1, npairs} & set(range(npairs + 1))):
+            for seed in range(20):
+                assert random_gnm(n, m, seed).adj == floyd_gnm(n, m, seed).adj, (m, seed)
+
+    @pytest.mark.parametrize("n", [20, 30, 40, 80])
+    def test_seeded_graphs_match_the_plain_sampler(self, n):
+        for r in range(300):
+            seed = derive_seed(1, n, 4 * n, r)
+            assert random_gnm(n, 4 * n, seed).adj == floyd_gnm(n, 4 * n, seed).adj, r
 
     def test_uniformity_smoke(self):
         # 10,000 single-edge draws on n=4: each of the 6 pairs near 1/6

@@ -232,6 +232,10 @@ MUTANTS = (
            "w = max(size - 3, 1).bit_length()",
            ("test_graph.py", "test_exact.py")),
     # --- seeded randomness ----------------------------------------------
+    Mutant("gnm-rejection-off-by-one", "graph.py",
+           "            if t <= j:\n",
+           "            if t < j:\n",
+           ("test_graph.py",)),
     Mutant("below-accepts-bound", "rng.py",
            "            if r < bound:\n",
            "            if r <= bound:\n",
@@ -266,32 +270,68 @@ MUTANTS = (
            "        return os.cpu_count() or 1\n",
            ("test_experiments.py",)),
     Mutant("pool-imported-with-the-module", "experiments.py",
-           "ProcessPoolExecutor = None\n",
-           "from concurrent.futures import ProcessPoolExecutor\n",
+           "from .rng import derive_seed\n",
+           "from .fanout import pooled_map\nfrom .rng import derive_seed\n",
            ("test_experiments.py",)),
-    Mutant("pool-reused-at-any-width", "experiments.py",
-           "    if _pool is not None and _pool[0] != jobs:\n",
-           "    if False:\n",
+    Mutant("pool-reused-at-any-width", "fanout.py",
+           "        if _pool is not None and len(_pool.procs) != jobs - 1:\n",
+           "        if False:\n",
            ("test_experiments.py",)),
-    Mutant("broken-pool-kept", "experiments.py",
-           "            _pool = None\n"
-           "            counter, tasks = _start_drains(",
-           "            counter, tasks = _start_drains(",
+    Mutant("broken-pool-kept", "fanout.py",
+           "                self.procs[k].join()\n"
+           "                self.conns[k].close()\n"
+           "                self._start(k)\n",
+           "                raise\n",
            ("test_experiments.py",)),
-    Mutant("counter-not-reset", "experiments.py",
-           "    counter.value = 0\n",
+    Mutant("counter-not-reset", "fanout.py",
+           "        pool.counter.value = 0\n",
            "",
            ("test_experiments.py",)),
-    # a raising run returns at once, and the other worker's drain, still
-    # running, claims runs of the next call
-    Mutant("drain-no-wait", "experiments.py",
-           "            counter.value = len(argslist)\n"
-           "            wait(tasks)\n",
-           "            pass\n",
+    # a raising run in the caller raises at once, before the worker's reply
+    # is read, so the worker is stopped mid-run and started anew
+    Mutant("drain-no-wait", "fanout.py",
+           "            finally:  # after a raising run too, so that no drain outlives the call\n"
+           "                theirs = pool.replies()\n"
+           "                settled = True\n",
+           "            except BaseException:\n"
+           "                raise\n"
+           "            theirs = pool.replies()\n"
+           "            settled = True\n",
            ("test_experiments.py",)),
-    Mutant("pool-kept-across-fork", "experiments.py",
+    # a raising run leaves the counter where it was: every other drain
+    # runs on to the end
+    Mutant("raise-keeps-claims", "fanout.py",
+           "    except BaseException:\n"
+           "        counter.value = end\n",
+           "    except BaseException:\n",
+           ("test_experiments.py",)),
+    # an interrupted call keeps its workers: an unread reply and a drain
+    # still running reach the next call
+    Mutant("interrupt-keeps-workers", "fanout.py",
+           "            if not settled:",
+           "            if False:",
+           ("test_experiments.py",)),
+    # a result that does not pickle kills its worker: the caller reads
+    # BrokenProcessPool instead of the pickling error
+    Mutant("unpicklable-reply-kills-worker", "fanout.py",
+           "        except Exception as exc:  # a result that does not pickle: nothing was sent\n"
+           "            conn.send(exc)\n",
+           "",
+           ("test_experiments.py",)),
+    Mutant("pool-kept-across-fork", "fanout.py",
            "    os.register_at_fork(after_in_child=_forget_pool)\n",
            "    pass\n",
+           ("test_experiments.py",)),
+    # a forked worker keeps its copy of the caller's end and outlives a
+    # killed caller
+    Mutant("worker-keeps-caller-end", "fanout.py",
+           "    caller_end.close()",
+           "    pass",
+           ("test_experiments.py",)),
+    # the forked child's exit terminates the parent's daemon workers
+    Mutant("fork-child-stops-parent-workers", "fanout.py",
+           "        process._children.difference_update(_pool.procs)\n",
+           "        pass\n",
            ("test_experiments.py",)),
     # dropped: removing `_pool_lock` makes threads race only on some
     # schedules, so no test can kill it every time.
