@@ -12,6 +12,7 @@ from .engine import (
     EngineConfig,
     Generation,
     GreedyResult,
+    Heuristic,
     NoSeedSetsError,
     RunStats,
     SeedLimitError,
@@ -35,15 +36,7 @@ from .experiments import (
     run_workload_experiment,
     tau_edgeless,
 )
-from .graph import (
-    Graph,
-    GraphError,
-    VertexSet,
-    induced_subgraph,
-    non_neighbors,
-    random_gnm,
-)
-from .heuristics import Heuristic, score, stability
+from .graph import Graph, GraphError, VertexSet, non_neighbors, random_gnm
 from .rng import SplitMix64, derive_seed
 
 __version__ = "0.1.0"
@@ -74,7 +67,6 @@ __all__ = [
     "emit_plot",
     "exact_mis",
     "expand_generation",
-    "induced_subgraph",
     "initial_generation",
     "log_base",
     "non_neighbors",
@@ -85,8 +77,6 @@ __all__ = [
     "run_failure_experiment",
     "run_greedy",
     "run_workload_experiment",
-    "score",
-    "stability",
     "tau_edgeless",
     "write_graph",
 ]

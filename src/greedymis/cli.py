@@ -1,12 +1,12 @@
 """Command-line interface.
 
 Subcommands: solve, oracle, generate, formula, experiment.  Exit codes:
-0 success, 1 usage error, 2 input/parse error or an unreadable or
-unwritable file, 3 infeasible request (no seed sets, more than
-engine.MAX_SEEDS candidate seeds, or the oracle search passed
---max-nodes).  All randomness is seed-pinned and the oracle budget counts
-search nodes, not seconds, so an identical argv produces byte-identical
-output files on any machine.
+0 success; 1 usage error; 2 input/parse error or an unreadable or
+unwritable file; 3 infeasible request (no seed sets, more than 10^6
+candidate seeds, or the oracle search passed --max-nodes); 130
+interrupted (Ctrl-C).  All randomness is seed-pinned and the oracle
+budget counts search nodes, not seconds, so an identical argv produces
+byte-identical output files on any machine.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .dimacs import read_graph, write_graph
-from .engine import EngineConfig, NoSeedSetsError, SeedLimitError, run_greedy
+from .engine import EngineConfig, Heuristic, NoSeedSetsError, SeedLimitError, run_greedy
 from .exact import OracleTimeout, exact_mis
 from .experiments import (
     ExperimentConfig,
@@ -31,7 +31,6 @@ from .experiments import (
     tau_edgeless,
 )
 from .graph import random_gnm
-from .heuristics import Heuristic
 
 
 class UsageError(Exception):

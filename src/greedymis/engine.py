@@ -49,7 +49,7 @@ Heuristic-b keys are integers: with L = lcm(1..n) and weights[d] =
 L // (d + 1), a pool of order o whose vertices have induced degrees d_v
 has stability sum(o / (d_v + 1)) = o * sum(weights[d_v]) / L exactly, so
 the engine compares o * sum(weights[d_v]) and never rounds.
-:func:`greedymis.heuristics.score` is the independent exact-rational
+``score`` in ``tests/reference.py`` is the independent exact-rational
 reference for the same values.
 
 The sum comes one of two ways, to the same integer.  The direct recount
@@ -69,12 +69,12 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from enum import Enum
 from functools import lru_cache
 from itertools import chain, combinations
 from math import comb, lcm, sqrt
 
 from .graph import Graph, VertexSet, degree_planes, mask_of, non_neighbors, to_vertex_set
-from .heuristics import Heuristic
 
 MAX_SEEDS = 10**6  # largest C(n, k) a run may enumerate
 
@@ -85,6 +85,13 @@ class NoSeedSetsError(Exception):
 
 class SeedLimitError(Exception):
     """C(n, k) exceeds MAX_SEEDS, so seeding alone would not finish."""
+
+
+class Heuristic(Enum):
+    """Candidate key: a scores |U'|, b the stability of the graph induced on U'."""
+
+    A = "a"
+    B = "b"
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, log
 
-from .engine import EngineConfig, run_greedy
+from .engine import EngineConfig, Heuristic, run_greedy
 from .exact import OracleTimeout, exact_mis
 from .graph import MAX_VERTICES, random_gnm
-from .heuristics import Heuristic
 from .rng import derive_seed
 
 
@@ -52,7 +51,12 @@ def log_base(value: int, base: int) -> float | None:
 
 
 def density_grid(n: int) -> tuple[int, ...]:
-    """Evenly spaced edge counts 1/12 .. 12/12 of C(n,2), without repeats."""
+    """Evenly spaced edge counts 1/12 .. 12/12 of C(n,2), without repeats.
+
+    Every count is at least 1, so n must be at least 2.
+    """
+    if n < 2:
+        raise ValueError(f"a density grid needs n >= 2, got {n}")
     npairs = n * (n - 1) // 2
     return tuple(sorted({max(1, j * npairs // 12) for j in range(1, 13)}))
 

@@ -144,38 +144,19 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _check_members(g: Graph, members: Iterable[int]) -> VertexSet:
-    s = tuple(sorted(set(members)))
-    if s and not (0 <= s[0] and s[-1] < g.n):
-        bad = s[0] if s[0] < 0 else s[-1]
-        raise GraphError(f"vertex {bad} out of range for n={g.n}")
-    return s
-
-
 def non_neighbors(g: Graph, members: Iterable[int]) -> VertexSet:
     """Common non-neighborhood: vertices outside ``members`` adjacent to none of them.
 
     For an empty ``members`` this is all of V(g).
     """
-    s = _check_members(g, members)
+    s = sorted(set(members))
+    if s and not (0 <= s[0] and s[-1] < g.n):
+        bad = s[0] if s[0] < 0 else s[-1]
+        raise GraphError(f"vertex {bad} out of range for n={g.n}")
     blocked = 0
     for v in s:
         blocked |= (1 << v) | g.adj[v]
     return to_vertex_set(g.full_mask & ~blocked)
-
-
-def induced_subgraph(g: Graph, members: Iterable[int]) -> Graph:
-    """Subgraph induced on ``members``, relabelled 0..len-1 in increasing id order."""
-    s = _check_members(g, members)
-    index = {v: i for i, v in enumerate(s)}
-    smask = mask_of(s)
-    edges = [
-        (index[u], index[v])
-        for u in s
-        for v in bits_of(g.adj[u] & smask)
-        if u < v
-    ]
-    return Graph(len(s), edges)
 
 
 def random_gnm(n: int, m: int, seed: int) -> Graph:

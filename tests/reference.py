@@ -1,11 +1,17 @@
 """Independent references for the greedy family and the exact oracle.
 
+``score`` is the exact-rational reference for the engine's integer keys.
+With U' the common non-neighbors of S ∪ {v}, heuristic a scores |U'| and
+heuristic b the ``stability`` of ``induced_subgraph(g, U')``, where the
+stability of a graph H of order o is sum(o / (deg_H(v) + 1)).  Each term
+is a ``fractions.Fraction``, so ties are exact and nothing is rounded.
+
 ``lockstep_run`` is written from the paper alone and shares no code with
 ``greedymis.engine``: seeds are the independent k-subsets from
 ``itertools.combinations``, each set adopts the candidate with the
-largest exact ``greedymis.score`` (ties to the lowest id), each round
-keeps the first copy of a repeated child, and the counters follow the
-README cost model.
+largest exact ``score`` (ties to the lowest id), each round keeps the
+first copy of a repeated child, and the counters follow the README cost
+model.
 
 ``clique_alpha`` shares no code with ``greedymis.exact``: it finds the
 independence number as the largest clique of the complement graph.
@@ -29,11 +35,47 @@ oracles.  The file name keeps pytest from collecting it.
 from __future__ import annotations
 
 import hashlib
+from fractions import Fraction
 from itertools import combinations
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
-from greedymis import Graph, Heuristic, random_gnm, score
+from greedymis import Graph, GraphError, Heuristic, non_neighbors, random_gnm
 from greedymis.rng import SplitMix64, derive_seed
+
+
+def induced_subgraph(g: Graph, members: Iterable[int]) -> Graph:
+    """Subgraph induced on ``members``, relabelled 0..len-1 in increasing id order."""
+    s = sorted(set(members))
+    if s and not (0 <= s[0] and s[-1] < g.n):
+        bad = s[0] if s[0] < 0 else s[-1]
+        raise GraphError(f"vertex {bad} out of range for n={g.n}")
+    index = {v: i for i, v in enumerate(s)}
+    return Graph(len(s), [(index[u], index[v]) for u, v in combinations(s, 2) if g.adjacent(u, v)])
+
+
+def stability(h_graph: Graph) -> Fraction:
+    """Exact stability of a graph: sum over vertices of o/(deg+1), o = order.
+
+    Lies in [o, o*o]: o for complete graphs, o*o for edgeless ones.  The
+    empty graph scores 0.
+    """
+    o = h_graph.n
+    return sum((Fraction(o, h_graph.degree(v) + 1) for v in range(o)), Fraction(0))
+
+
+def score(g: Graph, s: tuple[int, ...], v: int, h: Heuristic) -> Fraction:
+    """Score candidate ``v`` for joining independent set ``s`` in ``g``.
+
+    With U' the common non-neighbors of s ∪ {v}: heuristic A scores |U'|,
+    heuristic B scores the stability of the subgraph induced on U'.  Both
+    score 0 when U' is empty.  ``v`` must itself be a non-neighbor of ``s``.
+    """
+    if v not in non_neighbors(g, s):
+        raise ValueError(f"vertex {v} is not a non-neighbor of {tuple(s)}")
+    pool = non_neighbors(g, (*s, v))
+    if h is Heuristic.A:
+        return Fraction(len(pool))
+    return stability(induced_subgraph(g, pool))
 
 
 class LockstepRun(NamedTuple):

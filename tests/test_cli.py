@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, exit codes, deterministic outputs."""
 
+import inspect
 import itertools
 import os
+import re
 import shlex
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 from greedymis import Graph, cli, exact_mis, random_gnm, write_graph
 from greedymis.cli import main
 from greedymis.dimacs import MAX_VERTICES
+from greedymis.engine import MAX_SEEDS
 from greedymis.rng import derive_seed
 
 K5 = Graph(5, list(itertools.combinations(range(5), 2)))
@@ -406,6 +409,15 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out.startswith(usage)
         assert captured.err == ""
+
+    def test_help_names_every_exit_code(self, capsys):
+        codes = {0} | {int(c) for c in re.findall(r"return (\d+)$", inspect.getsource(main), re.M)}
+        assert codes == {0, 1, 2, 3, 130}
+        assert main(["--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for code in codes:
+            assert re.search(rf"(Exit codes:|;) {code} [a-z]", text), code
+        assert MAX_SEEDS == 10**6 and "more than 10^6 candidate seeds" in text
 
     def test_non_integer_n(self, capsys):
         assert main(["experiment", "failure", "--n", "ten", "--m", "40",

@@ -18,6 +18,13 @@ class TestRead:
         assert g.n == 4
         assert g.edges == ((0, 1), (2, 3))
 
+    def test_repeated_pair_counts_as_a_line_and_collapses(self):
+        # two e lines meet the declared 2, in either orientation, but name
+        # one edge; the writer declares what the graph holds
+        g = read_graph("p edge 3 2\ne 1 2\ne 2 1\n")
+        assert g.edges == ((0, 1),)
+        assert write_graph(g) == b"p edge 3 1\ne 1 2\n"
+
     def test_accepts_str_and_bytes(self):
         assert read_graph("p edge 2 0\n") == read_graph(b"p edge 2 0\n")
 

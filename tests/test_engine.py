@@ -26,9 +26,8 @@ from greedymis import (
     run_greedy,
 )
 from greedymis.engine import MAX_SEEDS, _delta_widths
-from greedymis.heuristics import score
 from greedymis.rng import SplitMix64, derive_seed
-from reference import is_independent, lockstep_run, plane_width_graphs
+from reference import is_independent, lockstep_run, plane_width_graphs, score
 
 C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 K5 = Graph(5, list(itertools.combinations(range(5), 2)))

@@ -140,6 +140,13 @@ class TestConfig:
         assert grid[-1] == comb(30, 2)
         assert len(grid) == 12
         assert list(grid) == sorted(grid)
+        assert density_grid(2) == (1,)
+
+    @pytest.mark.parametrize("n", [-3, 0, 1])
+    def test_density_grid_needs_two_vertices(self, n):
+        # no graph of order below 2 has an edge to count
+        with pytest.raises(ValueError, match="n >= 2"):
+            density_grid(n)
 
 
 class TestFailureExperiment:

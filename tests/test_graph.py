@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greedymis import Graph, GraphError, induced_subgraph, non_neighbors, random_gnm
+from greedymis import Graph, GraphError, non_neighbors, random_gnm
 from greedymis.graph import MAX_VERTICES, degree_planes
 from greedymis.rng import derive_seed
-from reference import floyd_gnm, path
+from reference import floyd_gnm, induced_subgraph, path
 
 ALL_PAIRS_5 = list(itertools.combinations(range(5), 2))
 

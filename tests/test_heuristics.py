@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greedymis import Graph, Heuristic, non_neighbors, random_gnm, score, stability
+from greedymis import Graph, Heuristic, non_neighbors, random_gnm
 from greedymis.rng import SplitMix64
-from reference import complete, path
+from reference import complete, induced_subgraph, path, score, stability
 
 
 class TestStability:
@@ -91,8 +91,6 @@ class TestScore:
             assert score(sparser, s, v, Heuristic.A) >= score(g, s, v, Heuristic.A)
 
     def test_score_b_equals_stability_of_induced_pool(self):
-        from greedymis import induced_subgraph
-
         g = random_gnm(12, 30, seed=5)
         s = (min(non_neighbors(g, ())),)
         for v in non_neighbors(g, s):

@@ -343,6 +343,10 @@ MUTANTS = (
            '        if not {"a1", "b1"} <= set(self.algorithms):\n',
            "        if False:\n",
            ("test_experiments.py",)),
+    Mutant("density-grid-of-one-vertex", "experiments.py",
+           "    if n < 2:\n",
+           "    if n < 1:\n",
+           ("test_experiments.py",)),
     # --- command line --------------------------------------------------
     Mutant("same-path-check-removed", "cli.py",
            "    if args.out and args.plot and Path(args.out).resolve() == Path(args.plot).resolve():\n",
