@@ -36,8 +36,7 @@ from .experiments import (
     run_workload_experiment,
     tau_edgeless,
 )
-from .graph import Graph, GraphError, VertexSet, non_neighbors, random_gnm
-from .rng import SplitMix64, derive_seed
+from .graph import Graph, GraphError, VertexSet, derive_seed, non_neighbors, random_gnm
 
 __version__ = "0.1.0"
 
@@ -57,7 +56,6 @@ __all__ = [
     "OracleTimeout",
     "RunStats",
     "SeedLimitError",
-    "SplitMix64",
     "VertexSet",
     "WorkloadReport",
     "brute_force_mis",

@@ -94,6 +94,10 @@ class Heuristic(Enum):
     B = "b"
 
 
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """One family member: heuristic plus initial cardinality, e.g. a1 or b2."""
@@ -102,8 +106,8 @@ class EngineConfig:
     k: int = 1
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"initial cardinality must be >= 1, got {self.k}")
+        if not _is_int(self.k) or self.k < 1:
+            raise ValueError(f"initial cardinality must be an int >= 1, got {self.k!r}")
 
     @property
     def name(self) -> str:

@@ -9,7 +9,7 @@ Three experiment protocols over uniform G(n, m) graphs:
   over an edge-count sweep, the raw material for work-ratio trends.
 
 Every run of every cell derives its own seed from the experiment base
-seed via :func:`greedymis.rng.derive_seed`, so any cell is independently
+seed via :func:`greedymis.graph.derive_seed`, so any cell is independently
 reproducible and reruns are byte-identical.
 """
 
@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, log
 
-from .engine import EngineConfig, Heuristic, run_greedy
+from .engine import EngineConfig, Heuristic, _is_int, run_greedy
 from .exact import OracleTimeout, exact_mis
-from .graph import MAX_VERTICES, random_gnm
-from .rng import derive_seed
+from .graph import MAX_VERTICES, derive_seed, random_gnm
 
 
 def tau_edgeless(n: int, k: int) -> int:
@@ -79,7 +78,8 @@ class ExperimentConfig:
     """Parameter grid: cells are n_values crossed with the edge-count rule.
 
     ``m_rule`` is the string "4n" for the density rule m = 4n, or a
-    nonempty tuple of edge counts (a sweep applied to every n).
+    nonempty tuple of edge counts (a sweep applied to every n).  Each n,
+    each edge count, ``runs`` and ``base_seed`` is an int (not a bool).
     """
 
     n_values: tuple[int, ...]
@@ -89,8 +89,10 @@ class ExperimentConfig:
     base_seed: int
 
     def __post_init__(self) -> None:
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
+        if not _is_int(self.runs) or self.runs < 1:
+            raise ValueError(f"runs must be an int >= 1, got {self.runs!r}")
+        if not _is_int(self.base_seed):
+            raise ValueError(f"base seed must be an int, got {self.base_seed!r}")
         if not self.n_values:
             raise ValueError("n_values must be nonempty")
         if not self.algorithms:
@@ -99,12 +101,14 @@ class ExperimentConfig:
         if len(set(names)) != len(names):
             raise ValueError(f"algorithm list {names} has a repeated name")
         for n in self.n_values:
-            if n < 4:
-                raise ValueError(f"n must be >= 4, got {n}")
+            if not _is_int(n) or n < 4:
+                raise ValueError(f"n must be an int >= 4, got {n!r}")
         if self.m_rule != "4n" and not (isinstance(self.m_rule, tuple) and self.m_rule):
             raise ValueError(f"m rule must be '4n' or a nonempty tuple, not {self.m_rule!r}")
         seen = set()
         for n, m in self.cells():
+            if not _is_int(m):
+                raise ValueError(f"edge count must be an int, got {m!r}")
             npairs = n * (n - 1) // 2
             if not 0 <= m <= npairs:
                 raise ValueError(f"m={m} out of range for n={n} (max {npairs})")

@@ -145,7 +145,9 @@ def pooled_map(worker, argslist, jobs: int):
     its pipe.  Results keep run order.
     """
     global _pool
-    payload = ForkingPickler.dumps((worker, argslist))  # a job that does not pickle reaches no worker
+    # a job that does not pickle reaches no worker; bytes, since the view that
+    # dumps returns pins its BytesIO, which a traceback cycle may free first
+    payload = bytes(ForkingPickler.dumps((worker, argslist)))
     results = [None] * len(argslist)
     with _pool_lock:
         if _pool is not None and len(_pool.procs) != jobs - 1:

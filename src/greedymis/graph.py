@@ -4,6 +4,12 @@ Graphs are immutable after construction and safe to share across workers.
 Adjacency is stored as one bitmask per vertex, which gives O(1) membership
 queries and lets the solvers run on whole neighborhoods with single integer
 operations.
+
+It also holds the package's one seeded random source, SplitMix64 (Steele,
+Lea & Flood's 64-bit mix used by java.util.SplittableRandom):
+``random_gnm`` draws its graphs from the stream and ``derive_seed`` gives
+every run its seed.  The algorithm is fixed and fully specified, so a seed reproduces
+the same graph on any platform and any Python version.
 """
 
 from __future__ import annotations
@@ -163,12 +169,13 @@ def random_gnm(n: int, m: int, seed: int) -> Graph:
     """Uniform random graph with exactly ``m`` distinct edges.
 
     The edge set is an m-subset drawn uniformly from all C(n,2) vertex pairs
-    (Floyd's sampling algorithm over pair ranks), driven by the package
-    SplitMix64 stream, so a seed pins the graph exactly.  The draws are
-    ``SplitMix64(seed).below(j + 1)`` for j = C(n,2) - m .. C(n,2) - 1,
-    inlined: each step adds the golden gamma to the state and mixes it as
-    ``mix64`` does, and ``below``'s top-bits rejection redraws until the
-    value is at most j.  ``below(1)`` draws nothing.
+    (Floyd's sampling algorithm over pair ranks), driven by the SplitMix64
+    stream of ``seed``, so a seed pins the graph exactly.  The draws are
+    ``below(j + 1)`` for j = C(n,2) - m .. C(n,2) - 1, each a uniform
+    integer in [0, j] by top-bits rejection, inlined: a step adds the golden
+    gamma to the state and mixes it as ``_mix64`` does, and the top
+    ``j.bit_length()`` bits are redrawn until they are at most j.
+    ``below(1)`` draws nothing.
     """
     _check_vertex_count(n)  # before sampling, whose work grows with n
     npairs = n * (n - 1) // 2
@@ -203,3 +210,28 @@ def random_gnm(n: int, m: int, seed: int) -> Graph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph._trusted(n, adj)
+
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64 finalizer: avalanche a 64-bit value."""
+    z &= _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def derive_seed(base_seed: int, *values: int) -> int:
+    """Mix a base seed with integer coordinates into a fresh 64-bit seed.
+
+    Each coordinate is absorbed in order through _mix64, so e.g.
+    (n, m, run_index) cells of an experiment grid get independent,
+    individually reproducible streams.
+    """
+    state = _mix64(base_seed ^ _GOLDEN)
+    for v in values:
+        state = _mix64((state + _GOLDEN + (v & _MASK64)) & _MASK64)
+    return state

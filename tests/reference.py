@@ -20,9 +20,11 @@ independence number as the largest clique of the complement graph.
 ALPHA_CELLS, which ``tools/alpha_digest.py`` computes with
 ``clique_alpha`` and the tests with ``exact_mis``.
 
-``floyd_gnm`` is ``random_gnm`` written plainly: Floyd's sampling over
-pair ranks with ``SplitMix64.below``, a sorted unrank and ``Graph(n,
-edges)``.
+``SplitMix64`` is the stream as a class, with its own copy of the
+finalizer: the tests draw their graph sizes and seeds from it, and
+``floyd_gnm`` is ``random_gnm`` written plainly with it: Floyd's sampling
+over pair ranks with ``SplitMix64.below``, a sorted unrank and
+``Graph(n, edges)``.
 
 ``plane_width_graphs`` lists small stars, wheels and stars joined to a
 path whose largest degrees sit on both sides of every change in the
@@ -39,8 +41,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple
 
-from greedymis import Graph, GraphError, Heuristic, non_neighbors, random_gnm
-from greedymis.rng import SplitMix64, derive_seed
+from greedymis import Graph, GraphError, Heuristic, derive_seed, non_neighbors, random_gnm
 
 
 def induced_subgraph(g: Graph, members: Iterable[int]) -> Graph:
@@ -172,6 +173,43 @@ def alpha_digest(alpha_of: Callable[[Graph], int]) -> str:
             g = random_gnm(n, m, seed=derive_seed(60, n, m, r))
             h.update(f"{n},{m},{r}:{alpha_of(g)}\n".encode())
     return h.hexdigest()
+
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64 finalizer: avalanche a 64-bit value."""
+    z &= _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+class SplitMix64:
+    """SplitMix64 stream: state advances by the 64-bit golden ratio."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, seed: int) -> None:
+        self._state = seed & _MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + _GOLDEN) & _MASK64
+        return _mix64(self._state)
+
+    def below(self, bound: int) -> int:
+        """Uniform integer in [0, bound) via top-bits rejection sampling."""
+        if bound <= 0:
+            raise ValueError(f"bound must be positive, got {bound}")
+        bits = (bound - 1).bit_length()
+        if bits == 0:
+            return 0
+        while True:
+            r = self.next_u64() >> (64 - bits)
+            if r < bound:
+                return r
 
 
 def floyd_gnm(n: int, m: int, seed: int) -> Graph:

@@ -17,8 +17,8 @@ from fractions import Fraction
 import pytest
 
 import greedymis as gm
-from greedymis.rng import SplitMix64, derive_seed
-from reference import stability
+from greedymis import derive_seed
+from reference import SplitMix64, stability
 
 BASE_SEED = 1
 JOBS = 2

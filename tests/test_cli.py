@@ -9,11 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from greedymis import Graph, cli, exact_mis, random_gnm, write_graph
+from greedymis import Graph, cli, derive_seed, exact_mis, random_gnm, write_graph
 from greedymis.cli import main
 from greedymis.dimacs import MAX_VERTICES
 from greedymis.engine import MAX_SEEDS
-from greedymis.rng import derive_seed
 
 K5 = Graph(5, list(itertools.combinations(range(5), 2)))
 

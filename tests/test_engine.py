@@ -18,6 +18,7 @@ from greedymis import (
     RunStats,
     SeedLimitError,
     brute_force_mis,
+    derive_seed,
     exact_mis,
     expand_generation,
     initial_generation,
@@ -26,8 +27,7 @@ from greedymis import (
     run_greedy,
 )
 from greedymis.engine import MAX_SEEDS, _delta_widths
-from greedymis.rng import SplitMix64, derive_seed
-from reference import is_independent, lockstep_run, plane_width_graphs, score
+from reference import SplitMix64, is_independent, lockstep_run, plane_width_graphs, score
 
 C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 K5 = Graph(5, list(itertools.combinations(range(5), 2)))
@@ -177,9 +177,10 @@ class TestRunGreedy:
         assert res.stats.generation_sizes == [3, 2, 1]
         # round 1: 3 singletons pay 2 pool + 2 * 2 scoring checks, and each
         # of their 2 candidates has |U'| = 1, so 1**2 + 1 stability checks;
-        # the second candidate only ties the capped key and is skipped, but
-        # it is still charged.  Round 2: 2 pairs pay 2 pool checks each and
-        # score one candidate with |U'| = 0.  Round 3: {0,1,2} pays 3 * 0.
+        # the second candidate's key is computed and ties the first's, and a
+        # tie does not replace the incumbent, but it is still charged.
+        # Round 2: 2 pairs pay 2 pool checks each and score one candidate
+        # with |U'| = 0.  Round 3: {0,1,2} pays 3 * 0.
         assert res.stats.heuristic_evals == 3 * 2 + 2 * 1
         assert res.stats.adjacency_checks == 3 * (2 + 4 + 2 * (1 + 1)) + 2 * 2
 

@@ -13,12 +13,19 @@ from greedymis import (
     OracleResult,
     OracleTimeout,
     brute_force_mis,
+    derive_seed,
     exact_mis,
     random_gnm,
 )
 from greedymis.exact import RELABEL_MIN_N, _smallest_last
-from greedymis.rng import SplitMix64, derive_seed
-from reference import alpha_digest, clique_alpha, complete, is_independent, plane_width_graphs
+from reference import (
+    SplitMix64,
+    alpha_digest,
+    clique_alpha,
+    complete,
+    is_independent,
+    plane_width_graphs,
+)
 
 PETERSEN = Graph(
     10,

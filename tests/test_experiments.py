@@ -22,6 +22,7 @@ from greedymis import (
     Heuristic,
     WorkloadReport,
     density_grid,
+    derive_seed,
     emit_csv,
     emit_plot,
     exact_mis,
@@ -37,7 +38,6 @@ from greedymis import (
 from greedymis import experiments
 from greedymis.experiments import AccuracyCell, WorkloadCell
 from greedymis.graph import MAX_VERTICES
-from greedymis.rng import derive_seed
 
 
 class TestTauEdgeless:
@@ -126,6 +126,26 @@ class TestConfig:
         for rule in (40, (), [40]):  # m_rule is "4n" or a nonempty tuple
             with pytest.raises(ValueError, match="m rule"):
                 ExperimentConfig((10,), rule, algos, 1, 0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("m_rule", (True,)), ("m_rule", (5.5,)), ("n_values", (10.0,)), ("n_values", (True,)),
+         ("runs", 1.5), ("runs", True), ("base_seed", 0.5), ("base_seed", False)],
+    )
+    def test_numbers_that_are_not_ints_rejected(self, field, value):
+        # else (True,) ran as m = 1 and wrote the CSV row 10,True,...; the
+        # floats failed mid-run with a TypeError
+        kwargs = dict(n_values=(10,), m_rule=(5,), algorithms=parse_algorithms("a1"), runs=2,
+                      base_seed=0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match="must be an int"):
+            ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize("k", [True, 1.0, 2.5])
+    def test_engine_config_k_must_be_an_int(self, k):
+        # else EngineConfig(Heuristic.A, True) was named 'aTrue'
+        with pytest.raises(ValueError, match="must be an int"):
+            EngineConfig(Heuristic.A, k)
 
     def test_repeated_algorithm_rejected(self):
         # each member would run twice and write every CSV row twice
@@ -346,12 +366,14 @@ def _slow_abs(x):
     return abs(x)
 
 
-def _python(script: str) -> subprocess.CompletedProcess:
-    """Run ``script`` in a fresh interpreter that imports this checkout's greedymis."""
+def _python(script: str, *options: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter, started with the interpreter
+    ``options``, that imports this checkout's greedymis."""
     src = str(Path(experiments.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *options, "-c", script], env=env, capture_output=True, text=True,
+        timeout=60,
     )
 
 
@@ -541,6 +563,25 @@ class TestMapRuns:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[0] == "False False"
         assert proc.stdout.splitlines()[-1] == "False False"
+
+    def test_raising_calls_leave_nothing_to_the_collector(self):
+        # a raising call's traceback holds the pickled job in a cycle; a job
+        # kept as the view over its BytesIO made the collector print an
+        # ignored BufferError under -X dev
+        script = (
+            "import gc\n"
+            "import greedymis as gm\n"
+            "cfg = gm.ExperimentConfig((10,), '4n', gm.parse_algorithms('a1,b12'), 8, 1)\n"
+            "for _ in range(3):\n"
+            "    try:\n"
+            "        gm.run_failure_experiment(cfg, jobs=2)\n"
+            "    except gm.NoSeedSetsError:\n"
+            "        pass\n"
+            "    gc.collect()\n"
+        )
+        proc = _python(script, "-X", "dev")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
     def test_workers_are_reaped_at_exit(self):
         script = (

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greedymis import Graph, GraphError, non_neighbors, random_gnm
+from greedymis import Graph, GraphError, derive_seed, non_neighbors, random_gnm
 from greedymis.graph import MAX_VERTICES, degree_planes
-from greedymis.rng import derive_seed
-from reference import floyd_gnm, induced_subgraph, path
+from reference import SplitMix64, floyd_gnm, induced_subgraph, path
 
 ALL_PAIRS_5 = list(itertools.combinations(range(5), 2))
 
@@ -112,6 +111,13 @@ class TestRandomGnm:
         for r in range(300):
             seed = derive_seed(1, n, 4 * n, r)
             assert random_gnm(n, 4 * n, seed).adj == floyd_gnm(n, 4 * n, seed).adj, r
+
+    def test_reference_stream_is_splitmix64(self):
+        # the first outputs of the published SplitMix64 from seed 0
+        rng = SplitMix64(0)
+        assert [rng.next_u64() for _ in range(3)] == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F
+        ]
 
     def test_uniformity_smoke(self):
         # 10,000 single-edge draws on n=4: each of the 6 pairs near 1/6

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greedymis import Graph, Heuristic, non_neighbors, random_gnm
-from greedymis.rng import SplitMix64
-from reference import complete, induced_subgraph, path, score, stability
+from reference import SplitMix64, complete, induced_subgraph, path, score, stability
 
 
 class TestStability:

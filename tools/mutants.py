@@ -236,11 +236,7 @@ MUTANTS = (
            "            if t <= j:\n",
            "            if t < j:\n",
            ("test_graph.py",)),
-    Mutant("below-accepts-bound", "rng.py",
-           "            if r < bound:\n",
-           "            if r <= bound:\n",
-           ("test_graph.py", "test_experiments.py")),
-    Mutant("derive-seed-order", "rng.py",
+    Mutant("derive-seed-order", "graph.py",
            "    for v in values:\n",
            "    for v in reversed(values):\n",
            ("test_graph.py", "test_experiments.py")),
@@ -270,8 +266,8 @@ MUTANTS = (
            "        return os.cpu_count() or 1\n",
            ("test_experiments.py",)),
     Mutant("pool-imported-with-the-module", "experiments.py",
-           "from .rng import derive_seed\n",
-           "from .fanout import pooled_map\nfrom .rng import derive_seed\n",
+           "from .graph import MAX_VERTICES, derive_seed, random_gnm\n",
+           "from .fanout import pooled_map\nfrom .graph import MAX_VERTICES, derive_seed, random_gnm\n",
            ("test_experiments.py",)),
     Mutant("pool-reused-at-any-width", "fanout.py",
            "        if _pool is not None and len(_pool.procs) != jobs - 1:\n",
