@@ -106,6 +106,8 @@ class EngineConfig:
     k: int = 1
 
     def __post_init__(self) -> None:
+        if not isinstance(self.heuristic, Heuristic):
+            raise ValueError(f"heuristic must be a Heuristic, got {self.heuristic!r}")
         if not _is_int(self.k) or self.k < 1:
             raise ValueError(f"initial cardinality must be an int >= 1, got {self.k!r}")
 

@@ -57,6 +57,13 @@ order and the permuted masks cost O(n + m) per call, which below n = 50
 outweighs the nodes saved; there the search is the plain one, node for
 node.
 
+Where the cover misses by one clique (the rest R after the spare cliques
+is a clique), a larger set takes one vertex of each clique, none adjacent.
+As in MaxCLQ (Li & Quan, 2010), each vertex of a smallest clique is tried
+by unit propagation (:func:`_refuted`); if all conflict, the state is
+pruned and counted in bound_prunes.  Below PROPAGATE_MIN_N = 30 vertices
+that costs more than it saves and is skipped (BENCH_31.json).
+
 The nodes and per-call times behind these rules are in BENCH_22.json
 (``oracle_per_call``: exclude first against include first;
 ``relabel_per_call``: relabelled against plain, per n) and in
@@ -78,6 +85,7 @@ from .graph import Graph, VertexSet, bits_of, degree_planes, mask_of, to_vertex_
 
 BRUTE_FORCE_LIMIT = 24
 RELABEL_MIN_N = 50  # smallest n searched in smallest-last order; see the module docstring
+PROPAGATE_MIN_N = 30  # smallest n whose one-clique misses are propagated
 
 
 @dataclass(frozen=True)
@@ -102,7 +110,8 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
     With ``max_nodes`` set, entering search node ``max_nodes + 1`` raises
     OracleTimeout.  The node count depends on the graph, not the machine;
     the result carries it as ``nodes``, next to ``bound_prunes``, the
-    number of states the clique cover pruned.
+    number of states the clique cover pruned, by its count or by
+    propagation on a cover that misses by one clique.
     """
     if max_nodes is not None and max_nodes < 1:
         raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
@@ -124,6 +133,7 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
                 row |= bit[low.bit_length() - 1]
             relabelled.append(row)
         adj = relabelled
+    propagate = g.n >= PROPAGATE_MIN_N
     planes = _degree_planes(adj)
     best_mask = g.full_mask & 1  # one vertex: a set to beat from the root on
     bound_prunes = 0
@@ -179,6 +189,13 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
             if not rest:
                 bound_prunes += 1
                 break
+            if propagate and rest != avail:
+                # the cover ran out of spare cliques with rest left: if rest
+                # is one more clique, a larger set meets each clique once
+                low = rest & -rest
+                if adj[low.bit_length() - 1] & rest == rest ^ low and _refuted(adj, avail, rest):
+                    bound_prunes += 1
+                    break
             if nodes == max_nodes:
                 raise OracleTimeout(f"oracle timed out after {max_nodes} search nodes")
             nodes += 1
@@ -202,6 +219,67 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
     if order is not None:
         best_mask = mask_of(order[i] for i in bits_of(best_mask))
     return OracleResult(to_vertex_set(best_mask), nodes, bound_prunes)
+
+
+def _refuted(adj: list[int], avail: int, last: int) -> bool:
+    """True when ``last`` is a clique and no independent set meets it and
+    each clique the cover of ``avail`` grows before it exactly once.
+
+    A forced vertex deletes its neighbors from the other cliques, a clique
+    cut down to one vertex is forced, and an emptied clique or two adjacent
+    forced vertices is a conflict.
+    """
+    r = last
+    while r:
+        low = r & -r
+        r ^= low
+        if adj[low.bit_length() - 1] & r != r:
+            return False
+    cliques = [last]
+    rest = avail
+    while rest != last:
+        before = rest
+        low = rest & -rest
+        rest ^= low
+        cand = adj[low.bit_length() - 1] & rest
+        while cand:
+            low = cand & -cand
+            rest ^= low
+            cand &= adj[low.bit_length() - 1]
+        cliques.append(before ^ rest)
+    small = min(cliques, key=int.bit_count)
+    cliques.remove(small)
+    while small:
+        v = small & -small
+        small ^= v
+        keep_mask = ~adj[v.bit_length() - 1]
+        left = cliques
+        while True:
+            units = 0
+            keep = []
+            for c in left:
+                c &= keep_mask
+                if not c:
+                    break
+                if c & (c - 1):
+                    keep.append(c)
+                else:
+                    units |= c
+            else:
+                if not units:
+                    return False  # v's literal propagates without a conflict
+                drop = 0
+                u = units
+                while u:
+                    low = u & -u
+                    u ^= low
+                    drop |= adj[low.bit_length() - 1]
+                if not drop & units:
+                    keep_mask = ~drop
+                    left = keep
+                    continue
+            break  # a conflict: no larger set takes v
+    return True
 
 
 def _degree_planes(adj: list[int]) -> list[int]:

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import tracemalloc
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,8 @@ from greedymis import (
     exact_mis,
     random_gnm,
 )
-from greedymis.exact import RELABEL_MIN_N, _smallest_last
+from greedymis import exact
+from greedymis.exact import PROPAGATE_MIN_N, RELABEL_MIN_N, _smallest_last
 from reference import (
     SplitMix64,
     alpha_digest,
@@ -38,6 +40,13 @@ PETERSEN = Graph(
 def disjoint_triangles(k):
     return Graph(3 * k, [e for t in range(0, 3 * k, 3)
                          for e in ((t, t + 1), (t + 1, t + 2), (t, t + 2))])
+
+
+def prism(o):
+    """The prism on o..o+5: triangles {o, o+2, o+4} and {o+1, o+3, o+5},
+    matched by (o, o+1), (o+2, o+3) and (o+4, o+5)."""
+    return [(o, o + 1), (o + 2, o + 3), (o + 4, o + 5), (o, o + 2), (o, o + 4),
+            (o + 2, o + 4), (o + 1, o + 3), (o + 1, o + 5), (o + 3, o + 5)]
 
 
 @st.composite
@@ -195,6 +204,39 @@ class TestCliqueCover:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20, peak
+
+
+class TestPropagation:
+    def test_two_prisms_are_refuted_where_the_cover_branches(self):
+        # Prisms on 0..5 and 6..11, and 18 isolated vertices, which the root
+        # takes.  The first descent reaches the leaf {1, 2, 7, 8} and the
+        # isolated ones, 22 vertices, at node 5.  The include child of node
+        # 3's branch on 3 takes 4, and that of node 2's branch on 0 takes 3,
+        # and each leaves the second prism with 20 chosen: two spare cliques.
+        # The cover {6, 7}, {8, 9} leaves {10, 11}, one more clique, so a
+        # set of 23 must take one vertex of each.  Taking 10 drops 6 and 8
+        # and forces 7 and 9, which are adjacent; taking 11 forces 6 and 8,
+        # also adjacent: both states are pruned.  Without the cut each
+        # branches on 6 (nodes 6 and 7), whose exclude child the cover prunes
+        g = Graph(PROPAGATE_MIN_N, prism(0) + prism(6))
+        res = exact_mis(g)
+        assert res.witness == (1, 2, 7, 8, *range(12, PROPAGATE_MIN_N))
+        assert (res.nodes, res.bound_prunes) == (5, 2)
+        with patch.object(exact, "PROPAGATE_MIN_N", g.n + 1):
+            plain = exact_mis(g)
+        assert (plain.witness, plain.nodes, plain.bound_prunes) == (res.witness, 7, 2)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(8, 44), st.integers(5, 12), st.integers(0, 2**64 - 1))
+    def test_cut_at_any_n_moves_no_witness(self, n, per_vertex, seed):
+        # the cut on below PROPAGATE_MIN_N too, against the search without it
+        g = random_gnm(n, min(per_vertex * n, n * (n - 1) // 2), seed=seed)
+        with patch.object(exact, "PROPAGATE_MIN_N", 0):
+            res = exact_mis(g)
+        with patch.object(exact, "PROPAGATE_MIN_N", n + 1):
+            plain = exact_mis(g)
+        assert res.witness == plain.witness and res.nodes <= plain.nodes
+        assert res.alpha == (brute_force_mis(g).alpha if n <= 20 else clique_alpha(g))
 
 
 class TestPlaneWidths:
@@ -388,18 +430,21 @@ def test_golden_witnesses(n, m, runs):
 # the take order, the branch vertex, the cover or the DFS order fails here
 # even where every witness stays the same.  The digests were re-recorded
 # with the search order, as for GOLDEN_WITNESSES, and the two complete
-# cells again when the search began with one vertex as its best set.
+# cells again when the search began with one vertex as its best set.  The
+# six cells of n >= 30 were re-recorded when one-clique misses of the cover
+# began to be refuted by propagation; every witness there was checked
+# against the previous search to be the same, and only the counts moved.
 GOLDEN_COUNTERS = {
     (12, 0, 3): "c1da16a6a834d09ffe764688ab320ecf5b39431e91c384e0d39c3bac719e1eab",
     (12, 66, 3): "efd99292687961c252a459e09c91e77d66b3200a16e69b7e86ad0848945986df",
     (20, 80, 50): "48ce0e8a3dd503a5ae133da2fcfda905248a4a6de4c75551c746be13700037aa",
     (25, 300, 20): "fc38e2449e77f54de85879e334132ceec57838ef09405fa4f5f5c9eafda2f152",
-    (30, 120, 40): "88ce98c90efadba0dc6b9f721975953956ac7da99a81507933e8d196befa837b",
-    (30, 217, 20): "b3bd1d4b726b4f7f61ccb6d50d2a1af84ff85d3bd25ffea7a41786e995c97e6f",
-    (40, 160, 30): "c1eb68a1321050b9e6091e5094fbaa07efb2b3fe360e6128eab96e648cc2c03e",
-    (60, 90, 12): "e682d793e3593f6db2d910a6fb5e255c1a73ef5052eca4b090e2be479bea56fd",
-    (60, 240, 12): "5b80be67d4b126727b15545d23dd952b4ac2b3433ec1b34f2baf8646315d5ccd",
-    (80, 320, 6): "55369a3121f092ad64a6fda098d9de1341c633217563296fd157e6bfde3705d6",
+    (30, 120, 40): "d653a1bc5d370d9ce1818215a21595cc5c026f498f580fd7a90d43868ec52365",
+    (30, 217, 20): "bcc6b1ed71db5383b9e1c639c1d51616d018912b7d473d83d67f173fa1db71da",
+    (40, 160, 30): "dc28f6e2bc77942b34b7b67dcd1b06e098fc82ef5ed585aeb734b7638f56934a",
+    (60, 90, 12): "18432b0e63d3f012d9871728a02064b5fa062d07943675400552618223902503",
+    (60, 240, 12): "5dff3fdc17768f52e417ca2976c61b7a027978b82911acc218869a0e1fae4f61",
+    (80, 320, 6): "bac68fb0eff0a330a2ccdbb3749f202cbc4966f7b7d771bd8d8dd7343ca8bc97",
 }
 
 

@@ -147,6 +147,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="must be an int"):
             EngineConfig(Heuristic.A, k)
 
+    @pytest.mark.parametrize("heuristic", ["a", "A", None])
+    def test_engine_config_heuristic_must_be_a_heuristic(self, heuristic):
+        # unchecked, EngineConfig("a", 1) would fail only later, at .name
+        with pytest.raises(ValueError, match="must be a Heuristic"):
+            EngineConfig(heuristic, 1)
+
     def test_repeated_algorithm_rejected(self):
         # each member would run twice and write every CSV row twice
         a1 = EngineConfig(Heuristic.A, 1)
@@ -213,22 +219,22 @@ class TestFailureExperiment:
         assert lines[1] == "90,360,0,a1,0,"
 
     def test_node_budget_is_deterministic_across_jobs_and_threads(self):
-        # a budget of 560 lies between the two runs' node counts, so it
+        # a budget of 280 lies between the two runs' node counts, so it
         # excludes exactly one, whatever the machine, pool or thread
         nodes = [exact_mis(random_gnm(90, 360, derive_seed(3, 90, 360, r))).nodes
                  for r in range(2)]
-        assert nodes == [549, 568]
+        assert nodes == [264, 300]
         cfg = ExperimentConfig((90,), "4n", parse_algorithms("a1"), 2, 3)
-        report = run_failure_experiment(cfg, oracle_max_nodes=560)
+        report = run_failure_experiment(cfg, oracle_max_nodes=280)
         (cell,) = report.cells
         assert 0 < cell.oracle_timeouts < cfg.runs
         serial = emit_csv(report)
-        pooled = run_failure_experiment(cfg, jobs=2, oracle_max_nodes=560)
+        pooled = run_failure_experiment(cfg, jobs=2, oracle_max_nodes=280)
         assert emit_csv(pooled) == serial
         out = []
 
         def off_main_thread():
-            out.append(emit_csv(run_failure_experiment(cfg, oracle_max_nodes=560)))
+            out.append(emit_csv(run_failure_experiment(cfg, oracle_max_nodes=280)))
 
         thread = threading.Thread(target=off_main_thread)
         thread.start()

@@ -131,6 +131,15 @@ MUTANTS = (
            "while rest and spare > 0:",
            "while rest and spare >= 0:",
            ("test_exact.py",)),
+    # the propagation on a cover that misses by one clique
+    Mutant("propagation-keeps-forced-neighbors", "exact.py",
+           "                    keep_mask = ~drop\n",
+           "                    keep_mask = -1\n",
+           ("test_exact.py",)),
+    Mutant("propagation-accepts-unrefuted-literal", "exact.py",
+           "                    return False  # v's literal",
+           "                    break  # v's literal",
+           ("test_exact.py",)),
     # the one chain that lowers what a take or the exclude child recorded
     Mutant("step-carry-inverted", "exact.py",
            "                s &= c\n"
