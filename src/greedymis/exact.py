@@ -61,8 +61,7 @@ Where the cover misses by one clique (the rest R after the spare cliques
 is a clique), a larger set takes one vertex of each clique, none adjacent.
 As in MaxCLQ (Li & Quan, 2010), each vertex of a smallest clique is tried
 by unit propagation (:func:`_refuted`); if all conflict, the state is
-pruned and counted in bound_prunes.  Below PROPAGATE_MIN_N = 30 vertices
-that costs more than it saves and is skipped (BENCH_31.json).
+pruned and counted in bound_prunes (BENCH_31.json).
 
 The nodes and per-call times behind these rules are in BENCH_22.json
 (``oracle_per_call``: exclude first against include first;
@@ -85,7 +84,6 @@ from .graph import Graph, VertexSet, bits_of, degree_planes, mask_of, to_vertex_
 
 BRUTE_FORCE_LIMIT = 24
 RELABEL_MIN_N = 50  # smallest n searched in smallest-last order; see the module docstring
-PROPAGATE_MIN_N = 30  # smallest n whose one-clique misses are propagated
 
 
 @dataclass(frozen=True)
@@ -133,7 +131,6 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
                 row |= bit[low.bit_length() - 1]
             relabelled.append(row)
         adj = relabelled
-    propagate = g.n >= PROPAGATE_MIN_N
     planes = _degree_planes(adj)
     best_mask = g.full_mask & 1  # one vertex: a set to beat from the root on
     bound_prunes = 0
@@ -189,7 +186,7 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
             if not rest:
                 bound_prunes += 1
                 break
-            if propagate and rest != avail:
+            if rest != avail:
                 # the cover ran out of spare cliques with rest left: if rest
                 # is one more clique, a larger set meets each clique once
                 low = rest & -rest
@@ -225,11 +222,12 @@ def _refuted(adj: list[int], avail: int, last: int) -> bool:
     """True when ``last`` is a clique and no independent set meets it and
     each clique the cover of ``avail`` grows before it exactly once.
 
-    A forced vertex deletes its neighbors from the other cliques, a clique
-    cut down to one vertex is forced, and an emptied clique or two adjacent
-    forced vertices is a conflict.
+    The caller has checked that the lowest vertex of ``last`` is adjacent
+    to the rest of it.  A forced vertex deletes its neighbors from the
+    other cliques, a clique cut down to one vertex is forced, and an
+    emptied clique or two adjacent forced vertices is a conflict.
     """
-    r = last
+    r = last ^ (last & -last)
     while r:
         low = r & -r
         r ^= low

@@ -19,7 +19,7 @@ from greedymis import (
     random_gnm,
 )
 from greedymis import exact
-from greedymis.exact import PROPAGATE_MIN_N, RELABEL_MIN_N, _smallest_last
+from greedymis.exact import RELABEL_MIN_N, _smallest_last
 from reference import (
     SplitMix64,
     alpha_digest,
@@ -208,32 +208,29 @@ class TestCliqueCover:
 
 class TestPropagation:
     def test_two_prisms_are_refuted_where_the_cover_branches(self):
-        # Prisms on 0..5 and 6..11, and 18 isolated vertices, which the root
-        # takes.  The first descent reaches the leaf {1, 2, 7, 8} and the
-        # isolated ones, 22 vertices, at node 5.  The include child of node
-        # 3's branch on 3 takes 4, and that of node 2's branch on 0 takes 3,
-        # and each leaves the second prism with 20 chosen: two spare cliques.
-        # The cover {6, 7}, {8, 9} leaves {10, 11}, one more clique, so a
-        # set of 23 must take one vertex of each.  Taking 10 drops 6 and 8
-        # and forces 7 and 9, which are adjacent; taking 11 forces 6 and 8,
-        # also adjacent: both states are pruned.  Without the cut each
-        # branches on 6 (nodes 6 and 7), whose exclude child the cover prunes
-        g = Graph(PROPAGATE_MIN_N, prism(0) + prism(6))
+        # Prisms on 0..5 and 6..11.  The first descent reaches the leaf
+        # {1, 2, 7, 8} at node 5.  The include child of node 3's branch on 3
+        # takes 4, and that of node 2's branch on 0 takes 3, and each leaves
+        # the second prism with 2 chosen: two spare cliques.  The cover
+        # {6, 7}, {8, 9} leaves {10, 11}, one more clique, so a set of 5 must
+        # take one vertex of each.  Taking 10 drops 6 and 8 and forces 7 and
+        # 9, which are adjacent; taking 11 forces 6 and 8, also adjacent:
+        # both states are pruned.  Without the cut each branches on 6 (nodes
+        # 6 and 7), whose exclude child the cover prunes
+        g = Graph(12, prism(0) + prism(6))
         res = exact_mis(g)
-        assert res.witness == (1, 2, 7, 8, *range(12, PROPAGATE_MIN_N))
-        assert (res.nodes, res.bound_prunes) == (5, 2)
-        with patch.object(exact, "PROPAGATE_MIN_N", g.n + 1):
+        assert (res.witness, res.nodes, res.bound_prunes) == ((1, 2, 7, 8), 5, 2)
+        with patch.object(exact, "_refuted", lambda *args: False):
             plain = exact_mis(g)
         assert (plain.witness, plain.nodes, plain.bound_prunes) == (res.witness, 7, 2)
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(8, 44), st.integers(5, 12), st.integers(0, 2**64 - 1))
-    def test_cut_at_any_n_moves_no_witness(self, n, per_vertex, seed):
-        # the cut on below PROPAGATE_MIN_N too, against the search without it
+    def test_cut_moves_no_witness(self, n, per_vertex, seed):
+        # against the search without the cut, on dense graphs where it fires
         g = random_gnm(n, min(per_vertex * n, n * (n - 1) // 2), seed=seed)
-        with patch.object(exact, "PROPAGATE_MIN_N", 0):
-            res = exact_mis(g)
-        with patch.object(exact, "PROPAGATE_MIN_N", n + 1):
+        res = exact_mis(g)
+        with patch.object(exact, "_refuted", lambda *args: False):
             plain = exact_mis(g)
         assert res.witness == plain.witness and res.nodes <= plain.nodes
         assert res.alpha == (brute_force_mis(g).alpha if n <= 20 else clique_alpha(g))
@@ -431,13 +428,13 @@ def test_golden_witnesses(n, m, runs):
 # even where every witness stays the same.  The digests were re-recorded
 # with the search order, as for GOLDEN_WITNESSES, and the two complete
 # cells again when the search began with one vertex as its best set.  The
-# six cells of n >= 30 were re-recorded when one-clique misses of the cover
-# began to be refuted by propagation; every witness there was checked
+# seven cells whose counts moved were re-recorded when one-clique misses of
+# the cover began to be refuted by propagation; every witness was checked
 # against the previous search to be the same, and only the counts moved.
 GOLDEN_COUNTERS = {
     (12, 0, 3): "c1da16a6a834d09ffe764688ab320ecf5b39431e91c384e0d39c3bac719e1eab",
     (12, 66, 3): "efd99292687961c252a459e09c91e77d66b3200a16e69b7e86ad0848945986df",
-    (20, 80, 50): "48ce0e8a3dd503a5ae133da2fcfda905248a4a6de4c75551c746be13700037aa",
+    (20, 80, 50): "739c705a4c7730e97fbdcfa01cc03aa9b56c1e4ab4af00de9ea5066b64702f65",
     (25, 300, 20): "fc38e2449e77f54de85879e334132ceec57838ef09405fa4f5f5c9eafda2f152",
     (30, 120, 40): "d653a1bc5d370d9ce1818215a21595cc5c026f498f580fd7a90d43868ec52365",
     (30, 217, 20): "bcc6b1ed71db5383b9e1c639c1d51616d018912b7d473d83d67f173fa1db71da",
