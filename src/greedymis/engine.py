@@ -74,7 +74,15 @@ from functools import lru_cache
 from itertools import chain, combinations
 from math import comb, lcm, sqrt
 
-from .graph import Graph, VertexSet, degree_planes, mask_of, non_neighbors, to_vertex_set
+from .graph import (
+    Graph,
+    VertexSet,
+    _is_int,
+    degree_planes,
+    mask_of,
+    non_neighbors,
+    to_vertex_set,
+)
 
 MAX_SEEDS = 10**6  # largest C(n, k) a run may enumerate
 
@@ -92,10 +100,6 @@ class Heuristic(Enum):
 
     A = "a"
     B = "b"
-
-
-def _is_int(x: object) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)

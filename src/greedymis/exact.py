@@ -36,15 +36,12 @@ it keeps deleting a vertex of largest degree until the takes of degree
 <= 1 finish the set, where an include-first descent adds a vertex of
 largest degree at each branch, the worst greedy choice.  The cover
 prunes only against the best set so far, so a good one early is worth
-much of the tree.  Some graphs take more nodes than under the
-include-first order, so a node budget chosen under that order can
-exclude other runs than it did.
+much of the tree.
 
 The search starts with one vertex, bit 0, as its best set, which every
 graph with a vertex has.  The root's cover then prunes a complete graph
 at once, one node, where the exclude-first descent would branch down to
-its last edge (n - 1 nodes).  A witness moves only where alpha is 1, and
-a count only where the search would have found a one-vertex set first.
+its last edge (n - 1 nodes).
 
 A graph of at least RELABEL_MIN_N = 50 vertices is searched relabelled
 in smallest-last order (Matula & Beck, 1983): repeatedly remove a vertex
@@ -57,11 +54,14 @@ order and the permuted masks cost O(n + m) per call, which below n = 50
 outweighs the nodes saved; there the search is the plain one, node for
 node.
 
-Where the cover misses by one clique (the rest R after the spare cliques
-is a clique), a larger set takes one vertex of each clique, none adjacent.
-As in MaxCLQ (Li & Quan, 2010), each vertex of a smallest clique is tried
-by unit propagation (:func:`_refuted`); if all conflict, the state is
-pruned and counted in bound_prunes (BENCH_31.json).
+The cover grows one clique past the |best| - |chosen| cliques that
+prune.  Each clique is grown greedily from the lowest vertex left, so
+where that extra clique empties what is left, its growth proves the rest
+one clique, and the cover misses the bound by exactly one: a larger set
+takes one vertex of each clique, none adjacent.  As in MaxCLQ (Li & Quan, 2010),
+each vertex of a smallest clique of that same cover is tried by unit
+propagation (:func:`_refuted`); if all conflict, the state is pruned and
+counted in bound_prunes (BENCH_31.json).
 
 The nodes and per-call times behind these rules are in BENCH_22.json
 (``oracle_per_call``: exclude first against include first;
@@ -80,7 +80,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, VertexSet, bits_of, degree_planes, mask_of, to_vertex_set
+from .graph import Graph, VertexSet, _is_int, bits_of, degree_planes, mask_of, to_vertex_set
 
 BRUTE_FORCE_LIMIT = 24
 RELABEL_MIN_N = 50  # smallest n searched in smallest-last order; see the module docstring
@@ -111,8 +111,8 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
     number of states the clique cover pruned, by its count or by
     propagation on a cover that misses by one clique.
     """
-    if max_nodes is not None and max_nodes < 1:
-        raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
+    if max_nodes is not None and (not _is_int(max_nodes) or max_nodes < 1):
+        raise ValueError(f"max_nodes must be >= 1 and an int, got {max_nodes!r}")
     adj = g.adj
     order = None
     if g.n >= RELABEL_MIN_N:
@@ -169,12 +169,14 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
                 if nu:
                     s = adj[nu.bit_length() - 1] & avail
                 continue
-            # cover avail by cliques grown from its lowest vertex; stop once
-            # the cover needs more cliques than |best| - |chosen|, as it then
-            # cannot prune
+            # cover avail by cliques grown from its lowest vertex, one past
+            # the |best| - |chosen| that would prune; rests[i] is what the
+            # i-th clique is grown from
             spare = best_mask.bit_count() - chosen.bit_count()
             rest = avail
-            while rest and spare > 0:
+            rests = []
+            while rest and spare >= 0:
+                rests.append(rest)
                 spare -= 1
                 low = rest & -rest
                 rest ^= low
@@ -183,16 +185,11 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
                     low = cand & -cand
                     rest ^= low
                     cand &= adj[low.bit_length() - 1]
-            if not rest:
+            if not rest and (spare >= 0 or _refuted(adj, rests)):
+                # the cover fits the bound, or misses it by its last clique
+                # and no larger set meets every clique once
                 bound_prunes += 1
                 break
-            if rest != avail:
-                # the cover ran out of spare cliques with rest left: if rest
-                # is one more clique, a larger set meets each clique once
-                low = rest & -rest
-                if adj[low.bit_length() - 1] & rest == rest ^ low and _refuted(adj, avail, rest):
-                    bound_prunes += 1
-                    break
             if nodes == max_nodes:
                 raise OracleTimeout(f"oracle timed out after {max_nodes} search nodes")
             nodes += 1
@@ -218,33 +215,17 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
     return OracleResult(to_vertex_set(best_mask), nodes, bound_prunes)
 
 
-def _refuted(adj: list[int], avail: int, last: int) -> bool:
-    """True when ``last`` is a clique and no independent set meets it and
-    each clique the cover of ``avail`` grows before it exactly once.
+def _refuted(adj: list[int], rests: list[int]) -> bool:
+    """True when no independent set meets each clique of the cover once.
 
-    The caller has checked that the lowest vertex of ``last`` is adjacent
-    to the rest of it.  A forced vertex deletes its neighbors from the
-    other cliques, a clique cut down to one vertex is forced, and an
-    emptied clique or two adjacent forced vertices is a conflict.
+    Clique i is ``rests[i] ^ rests[i + 1]`` and the last is ``rests[-1]``;
+    the search grew each from the lowest vertex of its ``rests`` entry.
+    A forced vertex deletes its neighbors from the other cliques, a clique
+    cut down to one vertex is forced, and an emptied clique or two adjacent
+    forced vertices is a conflict.
     """
-    r = last ^ (last & -last)
-    while r:
-        low = r & -r
-        r ^= low
-        if adj[low.bit_length() - 1] & r != r:
-            return False
-    cliques = [last]
-    rest = avail
-    while rest != last:
-        before = rest
-        low = rest & -rest
-        rest ^= low
-        cand = adj[low.bit_length() - 1] & rest
-        while cand:
-            low = cand & -cand
-            rest ^= low
-            cand &= adj[low.bit_length() - 1]
-        cliques.append(before ^ rest)
+    cliques = [rests[-1]]
+    cliques += [a ^ b for a, b in zip(rests, rests[1:])]
     small = min(cliques, key=int.bit_count)
     cliques.remove(small)
     while small:

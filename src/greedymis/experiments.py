@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, log
 
-from .engine import EngineConfig, Heuristic, _is_int, run_greedy
+from .engine import EngineConfig, Heuristic, run_greedy
 from .exact import OracleTimeout, exact_mis
-from .graph import MAX_VERTICES, derive_seed, random_gnm
+from .graph import MAX_VERTICES, _is_int, derive_seed, random_gnm
 
 
 def tau_edgeless(n: int, k: int) -> int:
@@ -231,8 +231,10 @@ def _map_runs(worker, argslist, jobs: int):
     use (its affinity mask, else ``os.cpu_count()``).  One process runs the
     list in-process; more run it through ``fanout.pooled_map``, which is
     imported here, at the first pooled call, with its process machinery.
-    Results keep run order at any ``jobs``.
+    Results keep run order at any ``jobs``, which must be an int >= 1.
     """
+    if not _is_int(jobs) or jobs < 1:
+        raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
     jobs = min(jobs, len(argslist), _usable_cpus())  # every worker starts up front
     if jobs <= 1:
         return [worker(a) for a in argslist]

@@ -29,6 +29,11 @@ MAX_VERTICES = 10**6
 """Largest vertex count of a Graph; ``Graph(n)`` allocates n masks."""
 
 
+def _is_int(x: object) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_vertex_count(n: int) -> None:
     if n < 0:
         raise GraphError(f"vertex count must be non-negative, got {n}")
@@ -134,9 +139,6 @@ class Graph:
 
     def adjacent(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

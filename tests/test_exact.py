@@ -21,6 +21,7 @@ from greedymis import (
 from greedymis import exact
 from greedymis.exact import RELABEL_MIN_N, _smallest_last
 from reference import (
+    REFERENCE_ALPHA_DIGEST,
     SplitMix64,
     alpha_digest,
     clique_alpha,
@@ -158,7 +159,7 @@ class TestNodeBudget:
                 assert (res.nodes, res.bound_prunes) == (full.nodes, full.bound_prunes)
                 assert res.nodes <= budget
 
-    @pytest.mark.parametrize("bad", [0, -1])
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, True])
     def test_rejects_budget_below_one(self, bad):
         with pytest.raises(ValueError):
             exact_mis(Graph(3), max_nodes=bad)
@@ -223,6 +224,36 @@ class TestPropagation:
         with patch.object(exact, "_refuted", lambda *args: False):
             plain = exact_mis(g)
         assert (plain.witness, plain.nodes, plain.bound_prunes) == (res.witness, 7, 2)
+
+    def test_refuted_reads_a_clique_cover_of_what_was_left(self):
+        # _refuted takes clique i as rests[i] ^ rests[i + 1] and the last as
+        # rests[-1]: each must be a clique grown from the lowest vertex of
+        # its rests entry, and together they must partition rests[0]
+        calls = []
+
+        def checked(adj, rests):
+            cliques = [a ^ b for a, b in zip(rests, rests[1:])] + [rests[-1]]
+            union = 0
+            for r, c in zip(rests, cliques):
+                assert c & r & -r
+                assert not c & union
+                union |= c
+                while c:
+                    low = c & -c
+                    c ^= low
+                    assert adj[low.bit_length() - 1] & c == c
+            assert union == rests[0]
+            calls.append(len(rests))
+            return refuted(adj, rests)
+
+        refuted = exact._refuted
+        with patch.object(exact, "_refuted", checked):
+            for n in (20, 30, 40, 50, 60, 70, 80):
+                for m in (4 * n, min(10 * n, n * (n - 1) // 2)):
+                    for r in range(2):
+                        g = random_gnm(n, m, seed=derive_seed(32, n, m, r))
+                        assert is_independent(g, exact_mis(g).witness)
+        assert len(calls) >= 500 and max(calls) >= 10, (len(calls), max(calls))
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(8, 44), st.integers(5, 12), st.integers(0, 2**64 - 1))
@@ -379,12 +410,6 @@ class TestAgreement:
                 for r in range(3):
                     g = random_gnm(n, m, seed=derive_seed(25, n, m, r))
                     assert exact_mis(g).alpha == clique_alpha(g), (n, m, r)
-
-
-# SHA-256 of the alphas of reference.ALPHA_CELLS, printed by
-# tools/alpha_digest.py from tests/reference.py::clique_alpha, which shares
-# no code with exact_mis.  Re-record it only when ALPHA_CELLS changes.
-REFERENCE_ALPHA_DIGEST = "29a7ed0b047e5a046cb4a3a6d11272226f5651522bce49edd2c5bd79704a1be0"
 
 
 # SHA-256 of exact_mis witnesses over seeded G(n, m) cells, n beyond the

@@ -259,6 +259,13 @@ class TestAccuracyExperiment:
         report = run_accuracy_experiment(cfg)
         assert report.cells[0].gaps["a1"] == {0: 5}
 
+    def test_budget_that_is_not_an_int_rejected(self):
+        # run 0 takes 264 nodes, so a budget of 2.5 that ran unbudgeted
+        # dropped no run
+        cfg = ExperimentConfig((90,), "4n", parse_algorithms("a1"), 2, 3)
+        with pytest.raises(ValueError, match="max_nodes must be >= 1 and an int, got 2.5"):
+            run_accuracy_experiment(cfg, oracle_max_nodes=2.5)
+
 
 class TestWitnessFirstSeeding:
     def test_b2_work_falls_below_a_quarter(self):
@@ -419,6 +426,17 @@ class TestMapRuns:
         monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: run serially
         assert emit_csv(run_failure_experiment(cfg, jobs=5000)) == serial
         assert pools == [1, 2]
+
+    @pytest.mark.parametrize("bad", [0, -3, True, 2.0])
+    def test_jobs_must_be_an_int_of_at_least_one(self, bad):
+        calls = []
+        with pytest.raises(ValueError, match="jobs must be an int >= 1"):
+            experiments._map_runs(calls.append, [1, 2], bad)
+        assert calls == []  # refused before any run
+        cfg = ExperimentConfig((10,), "4n", parse_algorithms("a1"), 2, 1)
+        for run in (run_failure_experiment, run_workload_experiment):
+            with pytest.raises(ValueError, match="jobs must be an int >= 1"):
+                run(cfg, jobs=bad)
 
     def test_runner_with_few_runs_and_many_jobs(self, pools):
         cfg = ExperimentConfig((10,), (9,), parse_algorithms("a1"), 2, 1)

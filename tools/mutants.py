@@ -124,14 +124,23 @@ MUTANTS = (
            "best_mask = 0 ",
            ("test_exact.py",)),
     Mutant("cover-prune-removed", "exact.py",
-           "            if not rest:\n",
+           "            if not rest and (spare >= 0 or _refuted(adj, rests)):\n",
            "            if False:\n",
            ("test_exact.py",)),
     Mutant("cover-one-clique-too-many", "exact.py",
-           "while rest and spare > 0:",
+           "(spare >= 0 or _refuted(",
+           "(spare >= -1 or _refuted(",
+           ("test_exact.py",)),
+    # the cover stops at the bound, so no miss by one clique is ever refuted
+    Mutant("cover-stops-at-bound", "exact.py",
            "while rest and spare >= 0:",
+           "while rest and spare > 0:",
            ("test_exact.py",)),
     # the propagation on a cover that misses by one clique
+    Mutant("refuted-cliques-off-by-one", "exact.py",
+           "zip(rests, rests[1:])",
+           "zip(rests[1:], rests[2:])",
+           ("test_exact.py",)),
     Mutant("propagation-keeps-forced-neighbors", "exact.py",
            "                    keep_mask = ~drop\n",
            "                    keep_mask = -1\n",
@@ -275,8 +284,8 @@ MUTANTS = (
            "        return os.cpu_count() or 1\n",
            ("test_experiments.py",)),
     Mutant("pool-imported-with-the-module", "experiments.py",
-           "from .graph import MAX_VERTICES, derive_seed, random_gnm\n",
-           "from .fanout import pooled_map\nfrom .graph import MAX_VERTICES, derive_seed, random_gnm\n",
+           "from .graph import MAX_VERTICES, _is_int, derive_seed, random_gnm\n",
+           "from .fanout import pooled_map\nfrom .graph import MAX_VERTICES, _is_int, derive_seed, random_gnm\n",
            ("test_experiments.py",)),
     Mutant("pool-reused-at-any-width", "fanout.py",
            "        if _pool is not None and len(_pool.procs) != jobs - 1:\n",
