@@ -387,6 +387,11 @@ def run_greedy(
     ``complete=False`` result with partial counters; a run that never gets
     there is the full run.  Its size is min(full size, max(len(W), k)).
     Deterministic for a fixed graph, config and target.
+
+    ``MAX_SEEDS`` bounds the seeding, not the run: on the edgeless
+    ``Graph(n)``, a1 grows n seeds through (n-1)n(n+1)/3 candidate
+    evaluations, 21,333,200 at n = 400, which took 0.24 s for a1 and 21 s
+    for b1 (2-core Xeon, Python 3.11.7).
     """
     stats = RunStats()
     sizes = stats.generation_sizes

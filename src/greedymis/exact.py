@@ -20,15 +20,15 @@ clique solvers (San Segundo, Rodriguez-Losada & Jimenez, 2011).  The top
 plane is exactly the set of degree at most 1, so the vertices waiting to
 be taken are ``avail & planes[-1]``, and lowering the degree of every
 vertex of a mask by one is one carry chain of whole-set operations.
-Each update is deferred to the step that reads it.  A take of t removes
-t and its neighbor u, if any, and records u's remaining neighbors as the
-set whose degrees drop; the exclude child of a branch on v, searched at
-once, records N(v).  The next step lowers that one set with a single
-carry chain before it reads the planes.  The branch vertex is the lowest
-of maximum degree, that is of least count, found by one top-down scan of
-the planes.  The include child waits on the stack with N(v) and a copy
-of its parent's planes; when it is popped, each u in N(v) lowers its
-remaining neighbors, one carry chain per u.  A removed vertex's bits are
+Every removal is recorded, not applied: a state keeps ``gone``, the
+removed vertices whose neighbors in avail the planes have yet to lower,
+and each step first lowers ``adj[u] & avail`` for each u in gone, one
+carry chain per u.  A take of t removes t and its neighbor u, if any, and
+sets gone to u (t's only neighbor is gone with it); the exclude child of
+a branch on v sets it to v; the include child waits on the stack with
+N(v) as gone and a copy of its parent's planes.  Any number of removals enter as ``avail ^= r; gone |= r``.  The
+branch vertex is the lowest of maximum degree, that is of least count,
+found by one top-down scan of the planes.  A removed vertex's bits are
 stale and every read masks them off.
 
 Searching the exclude child first makes the first descent a greedy set:
@@ -69,8 +69,8 @@ The nodes and per-call times behind these rules are in BENCH_22.json
 BENCH_21.json (the relabel's nodes and its threshold).
 
 States wait on an explicit stack, so the depth is not limited by Python's
-recursion limit.  A stacked state holds its two masks, N(v) and W
-planes, W = O(log(max degree)).  An optional budget caps the search
+recursion limit.  A stacked state holds its masks avail, chosen and gone
+and W planes, W = O(log(max degree)).  An optional budget caps the search
 nodes (the root and one per branch), so a limited search stops at the
 same point on every machine.  `brute_force_mis` scans every subset and exists to
 validate the control on small inputs.
@@ -139,35 +139,28 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
     # neighbors in avail the planes have yet to lower
     stack = [(g.full_mask, 0, planes, 0)]
     while stack:
-        avail, chosen, planes, nb = stack.pop()
-        while nb:
-            u = nb.bit_length() - 1
-            nb ^= 1 << u
-            s = adj[u] & avail
-            i = 0
-            while s:
-                c = planes[i]
-                planes[i] = c ^ s
-                s &= c
-                i += 1
-        s = 0  # the set whose degrees drop before the next step reads them
+        avail, chosen, planes, gone = stack.pop()
         while avail:
-            i = 0
-            while s:
-                c = planes[i]
-                planes[i] = c ^ s
-                s &= c
-                i += 1
+            while gone:
+                # each removed vertex lowers its neighbors left in avail
+                u = gone.bit_length() - 1
+                gone ^= 1 << u
+                s = adj[u] & avail
+                i = 0
+                while s:
+                    c = planes[i]
+                    planes[i] = c ^ s
+                    s &= c
+                    i += 1
             pending = avail & planes[-1]
             if pending:
                 # take the lowest vertex of degree <= 1 and drop its
-                # neighbor if any; that neighbor's neighbors lose a degree
+                # neighbor if any, whose removal the next step applies
                 take = pending & -pending
                 nu = adj[take.bit_length() - 1] & avail
                 avail ^= take | nu
                 chosen |= take
-                if nu:
-                    s = adj[nu.bit_length() - 1] & avail
+                gone = nu
                 continue
             # cover avail by cliques grown from its lowest vertex, one past
             # the |best| - |chosen| that would prune; rests[i] is what the
@@ -203,10 +196,10 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
             avail ^= low
             nv = adj[low.bit_length() - 1] & avail
             # include child, searched later: a copy of the parent's planes,
-            # lowered by each u in N(v) once it is popped
+            # with N(v) removed
             stack.append((avail ^ nv, chosen | low, planes[:], nv))
-            # exclude child, searched now: N(v) loses a degree
-            s = nv
+            # exclude child, searched now, with v removed
+            gone = low
         else:  # avail ran out: a maximal set, not a pruned state
             if chosen.bit_count() > best_mask.bit_count():
                 best_mask = chosen

@@ -345,6 +345,8 @@ def emit_plot(report: WorkloadReport) -> bytes:
 
     Hand-rolled so identical reports yield byte-identical files.
     """
+    if not isinstance(report, WorkloadReport):
+        raise TypeError(f"unsupported report type {type(report).__name__}")
     width, height = 640, 440
     left, right, top, bottom = 62.0, 18.0, 18.0, 48.0
     plot_w = width - left - right

@@ -74,7 +74,10 @@ def degree_planes(by_degree: list[int]) -> list[int]:
 
         while s: c = planes[i]; planes[i] = c ^ s; s &= c; i += 1
 
-    so a higher degree is a lower count.
+    so a higher degree is a lower count.  Every user of the planes
+    (``exact_mis``, ``exact._smallest_last`` and heuristic a's stepper in
+    the engine) follows one rule: a removed vertex u lowers its remaining
+    neighbors, ``adj[u] & left``, with one carry chain.
     """
     get = by_degree.__getitem__  # disjoint masks: their sum is their union
     return [sum(map(get, pick)) for pick in _plane_picks(len(by_degree))]

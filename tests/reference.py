@@ -21,6 +21,10 @@ ALPHA_CELLS, which ``tools/alpha_digest.py`` computes with
 ``clique_alpha`` and the tests with ``exact_mis``; both compare it with
 REFERENCE_ALPHA_DIGEST.
 
+BUDGET_CELL, BUDGET_NODES and NODE_BUDGET pin the oracle's search nodes on
+one cell and a budget between them, for the timeout tests of the CLI and
+the runners.
+
 ``SplitMix64`` is the stream as a class, with its own copy of the
 finalizer: the tests draw their graph sizes and seeds from it, and
 ``floyd_gnm`` is ``random_gnm`` written plainly with it: Floyd's sampling
@@ -178,6 +182,14 @@ def alpha_digest(alpha_of: Callable[[Graph], int]) -> str:
             g = random_gnm(n, m, seed=derive_seed(60, n, m, r))
             h.update(f"{n},{m},{r}:{alpha_of(g)}\n".encode())
     return h.hexdigest()
+
+
+# The oracle's search nodes on runs 0 and 1 of the seed-3 G(90, 360) cell,
+# and a node budget between them that times out exactly the second run.
+# The counts move with the oracle's pruning rules; re-pin all three then.
+BUDGET_CELL = (90, 360, 3)  # n, m, seed
+BUDGET_NODES = [264, 300]
+NODE_BUDGET = 280
 
 
 _MASK64 = (1 << 64) - 1

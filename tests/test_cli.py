@@ -13,6 +13,7 @@ from greedymis import Graph, cli, derive_seed, exact_mis, random_gnm, write_grap
 from greedymis.cli import main
 from greedymis.dimacs import MAX_VERTICES
 from greedymis.engine import MAX_SEEDS
+from reference import BUDGET_CELL, BUDGET_NODES, NODE_BUDGET
 
 K5 = Graph(5, list(itertools.combinations(range(5), 2)))
 
@@ -348,12 +349,13 @@ class TestExperiment:
         ],
     )
     def test_oracle_timeouts_are_reported(self, kind, line, capsys):
-        # the seed-3 runs need 264 and 300 search nodes: 280 excludes the second
-        nodes = [exact_mis(random_gnm(90, 360, derive_seed(3, 90, 360, r))).nodes
+        # the budget lies between the two runs' search nodes: it excludes the second
+        n, m, seed = BUDGET_CELL
+        nodes = [exact_mis(random_gnm(n, m, derive_seed(seed, n, m, r))).nodes
                  for r in range(2)]
-        assert nodes == [264, 300]
-        args = ["experiment", kind, "--n", "90", "--m", "4n", "--algos", "a1",
-                "--runs", "2", "--seed", "3", "--max-nodes", "280"]
+        assert nodes == BUDGET_NODES
+        args = ["experiment", kind, "--n", str(n), "--m", str(m), "--algos", "a1",
+                "--runs", "2", "--seed", str(seed), "--max-nodes", str(NODE_BUDGET)]
         assert main(args) == 0
         assert capsys.readouterr().out == line
 

@@ -38,6 +38,7 @@ from greedymis import (
 from greedymis import experiments
 from greedymis.experiments import AccuracyCell, WorkloadCell
 from greedymis.graph import MAX_VERTICES
+from reference import BUDGET_CELL, BUDGET_NODES, NODE_BUDGET
 
 
 class TestTauEdgeless:
@@ -123,6 +124,8 @@ class TestConfig:
             ExperimentConfig((10, 10), (20,), algos, 1, 0)  # repeated cell
         with pytest.raises(ValueError):
             ExperimentConfig((10,), (20, 30, 20), algos, 1, 0)  # repeated cell
+        with pytest.raises(ValueError, match="n_values must be nonempty"):
+            ExperimentConfig((), "4n", algos, 1, 0)
         for rule in (40, (), [40]):  # m_rule is "4n" or a nonempty tuple
             with pytest.raises(ValueError, match="m rule"):
                 ExperimentConfig((10,), rule, algos, 1, 0)
@@ -219,22 +222,23 @@ class TestFailureExperiment:
         assert lines[1] == "90,360,0,a1,0,"
 
     def test_node_budget_is_deterministic_across_jobs_and_threads(self):
-        # a budget of 280 lies between the two runs' node counts, so it
+        # the budget lies between the two runs' node counts, so it
         # excludes exactly one, whatever the machine, pool or thread
-        nodes = [exact_mis(random_gnm(90, 360, derive_seed(3, 90, 360, r))).nodes
+        n, m, seed = BUDGET_CELL
+        nodes = [exact_mis(random_gnm(n, m, derive_seed(seed, n, m, r))).nodes
                  for r in range(2)]
-        assert nodes == [264, 300]
-        cfg = ExperimentConfig((90,), "4n", parse_algorithms("a1"), 2, 3)
-        report = run_failure_experiment(cfg, oracle_max_nodes=280)
+        assert nodes == BUDGET_NODES
+        cfg = ExperimentConfig((n,), (m,), parse_algorithms("a1"), 2, seed)
+        report = run_failure_experiment(cfg, oracle_max_nodes=NODE_BUDGET)
         (cell,) = report.cells
         assert 0 < cell.oracle_timeouts < cfg.runs
         serial = emit_csv(report)
-        pooled = run_failure_experiment(cfg, jobs=2, oracle_max_nodes=280)
+        pooled = run_failure_experiment(cfg, jobs=2, oracle_max_nodes=NODE_BUDGET)
         assert emit_csv(pooled) == serial
         out = []
 
         def off_main_thread():
-            out.append(emit_csv(run_failure_experiment(cfg, oracle_max_nodes=280)))
+            out.append(emit_csv(run_failure_experiment(cfg, oracle_max_nodes=NODE_BUDGET)))
 
         thread = threading.Thread(target=off_main_thread)
         thread.start()
@@ -712,9 +716,27 @@ class TestEmission:
         svg = emit_plot(WorkloadReport(("a1", "b1"), ()))
         assert svg.startswith(b"<svg ")
 
+    def test_plot_degenerate_axes(self):
+        one_cell = run_workload_experiment(
+            ExperimentConfig((10,), (9,), parse_algorithms("a1,b1"), 1, 8)
+        )  # x_hi == x_lo
+        zero = {"a1": 5, "b1": 0}
+        all_zero = WorkloadReport(("a1", "b1"), (
+            WorkloadCell(10, 9, zero, zero), WorkloadCell(10, 18, zero, zero)
+        ))  # y_hi == y_lo
+        for report in (one_cell, all_zero):
+            svg = emit_plot(report)
+            assert svg.startswith(b"<svg ") and svg.endswith(b"</svg>\n")
+            assert svg.count(b"<svg") == svg.count(b"</svg>") == 1
+            assert emit_plot(report) == svg
+
     def test_unsupported_report_type(self):
-        with pytest.raises(TypeError):
-            emit_csv(object())
+        accuracy = run_accuracy_experiment(
+            ExperimentConfig((10,), (9,), parse_algorithms("a1"), 1, 0)
+        )
+        for emit, report in ((emit_csv, object()), (emit_plot, object()), (emit_plot, accuracy)):
+            with pytest.raises(TypeError, match="unsupported report type"):
+                emit(report)
 
 
 # SHA-256 of each runner's CSV (and the workload SVG) on small multi-cell

@@ -35,6 +35,10 @@ class TestConstruction:
         g = Graph(4, [(0, 1), (1, 0), (1, 2)])
         assert g.m == 2
         assert g.edges == ((0, 1), (1, 2))
+        g = Graph(3, [(0, 1)])
+        assert g == Graph(3, [(1, 0)]) and hash(g) == hash(Graph(3, [(1, 0)]))
+        assert g != Graph(4, [(0, 1)])
+        assert g != (g.n, g.adj)  # not a Graph
 
     def test_self_loop_rejected(self):
         with pytest.raises(GraphError):

@@ -149,36 +149,22 @@ MUTANTS = (
            "                    return False  # v's literal",
            "                    break  # v's literal",
            ("test_exact.py",)),
-    # the one chain that lowers what a take or the exclude child recorded
-    Mutant("step-carry-inverted", "exact.py",
-           "                s &= c\n"
-           "                i += 1\n"
-           "            pending = ",
-           "                s &= ~c\n"
-           "                i += 1\n"
-           "            pending = ",
+    # the one chain that lowers the neighbors of every removed vertex
+    Mutant("carry-inverted", "exact.py",
+           "                    s &= c\n",
+           "                    s &= ~c\n",
+           ("test_exact.py",)),
+    Mutant("only-first-removal-lowered", "exact.py",
+           "gone ^= 1 << u",
+           "gone = 0",
            ("test_exact.py",)),
     Mutant("take-drop-not-recorded", "exact.py",
-           "                    s = adj[nu.bit_length() - 1] & avail\n",
-           "                    pass\n",
+           "                gone = nu\n",
+           "                gone = 0\n",
            ("test_exact.py",)),
     Mutant("exclude-drop-not-recorded", "exact.py",
-           "            s = nv\n",
-           "            s = 0\n",
-           ("test_exact.py",)),
-    Mutant("include-carry-inverted", "exact.py",
-           "            s = adj[u] & avail\n"
-           "            i = 0\n"
-           "            while s:\n"
-           "                c = planes[i]\n"
-           "                planes[i] = c ^ s\n"
-           "                s &= c\n",
-           "            s = adj[u] & avail\n"
-           "            i = 0\n"
-           "            while s:\n"
-           "                c = planes[i]\n"
-           "                planes[i] = c ^ s\n"
-           "                s &= ~c\n",
+           "            gone = low\n",
+           "            gone = 0\n",
            ("test_exact.py",)),
     Mutant("pending-from-wrong-plane", "exact.py",
            "pending = avail & planes[-1]",
@@ -192,17 +178,9 @@ MUTANTS = (
     # before the exclude-first order; alpha stays right, witnesses move
     Mutant("include-first-order", "exact.py",
            "            stack.append((avail ^ nv, chosen | low, planes[:], nv))\n"
-           "            # exclude child, searched now: N(v) loses a degree\n"
-           "            s = nv\n",
-           "            excluded = planes[:]\n"
-           "            s = nv\n"
-           "            i = 0\n"
-           "            while s:\n"
-           "                c = excluded[i]\n"
-           "                excluded[i] = c ^ s\n"
-           "                s &= c\n"
-           "                i += 1\n"
-           "            stack.append((avail, chosen, excluded, 0))\n"
+           "            # exclude child, searched now, with v removed\n"
+           "            gone = low\n",
+           "            stack.append((avail, chosen, planes[:], low))\n"
            "            stack.append((avail ^ nv, chosen | low, planes, nv))\n"
            "            break\n",
            ("test_exact.py",)),
