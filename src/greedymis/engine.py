@@ -13,16 +13,17 @@ Heuristic b, and heuristic a on graphs of edge density above 1/4, score
 every candidate in one candidate loop that differs only in the key.  On
 sparser graphs heuristic a skips the loop: |U'| = |pool| - 1 - (v's
 degree in the pool), so its winner is the lowest pool vertex of least
-pool degree.  Those degrees are kept bit-sliced
-(:func:`greedymis.graph.degree_planes`) along each chain: the winner
-comes from one top-down scan of about log2(max degree) planes, and the
-child's planes are the parent's, lowered by one carry chain for each
-pool neighbour of the winner.  A pool that is not the one the last call
-returned has its planes built afresh.  Each of the winner's pool
-neighbours costs a carry chain where the loop costs one step per
-candidate, so the planes lose on dense graphs; the rule comes from
-per-run timings on G(n, m), n = 30-120 (CPython 3.11, 2-core Xeon),
-where the planes won up to density 0.2-0.29 and lost from 0.3.
+pool degree.  Those degrees are kept bit-sliced along each chain as the
+oracle keeps its own: planes that start as the graph's
+(:func:`greedymis.graph.degree_planes`) and change only by removals,
+each lowering its neighbours left in the pool with one carry chain.  A
+fresh pool removes every vertex outside it, a child the winner's pool
+neighbours, and the winner comes from one top-down scan of about
+log2(max degree) planes.  Each removal costs a carry chain where the
+loop costs one step per candidate, so the planes lose on dense graphs;
+the rule comes from per-run timings on G(n, m), n = 30-120 (CPython
+3.11, 2-core Xeon), where the planes won up to density 0.2-0.29 and lost
+from 0.3.
 
 Every set has exactly one child, one vertex larger, so the paper's
 lockstep rounds with per-generation dedup visit exactly the sets met by
@@ -305,30 +306,39 @@ def _a_stepper(
     """Heuristic a's ``child`` from pool-degree planes (module docstring).
 
     The winner is the lowest pool vertex of least pool degree, that is of
-    most count.  A call handed the pool that the last call returned reuses
-    the planes that call lowered; any other pool has them built afresh.
-    Bits of vertices outside the pool are stale and every read masks them
-    off.
+    most count.  As in ``exact_mis``, ``gone`` holds the removed vertices
+    whose pool neighbours the planes have yet to lower: the winner's pool
+    neighbours when the call gets the pool the last call returned, else
+    every vertex outside the pool (N[S] for a seed S) over a copy of the
+    graph's planes.  Bits outside the pool are stale; every read masks them.
     """
-    sizes = max(map(int.bit_count, adj), default=0) + 1  # pool degrees < sizes
+    full = (1 << n) - 1
+    root = degree_planes(adj)
     planes: list[int] = []
-    last = -1  # the pool that ``planes`` describes; no pool is negative
+    gone = 0
+    last = -1  # the pool that ``planes`` and ``gone`` describe; no pool is negative
 
     def child(smask: int, pool: int, c: int) -> tuple[int, int]:
-        nonlocal planes, last
+        nonlocal planes, gone, last
         width = pool.bit_count()
         stats.heuristic_evals += width
         stats.adjacency_checks += c * (n - c) + width * (c + 1) * (n - c - 1)
         if not pool:
             return 0, 0
         if pool != last:
-            by_degree = [0] * sizes
-            mm = pool
-            while mm:
-                low = mm & -mm
-                mm ^= low
-                by_degree[(adj[low.bit_length() - 1] & pool).bit_count()] |= low
-            planes = degree_planes(by_degree)
+            planes = root[:]
+            gone = full ^ pool
+        while gone:
+            # each removed vertex lowers its neighbours left in the pool
+            y = gone.bit_length() - 1
+            gone ^= 1 << y
+            s = adj[y] & pool
+            i = 0
+            while s:
+                cur = planes[i]
+                planes[i] = cur ^ s
+                s &= cur
+                i += 1
         cand = pool
         for p in reversed(planes):
             most = cand & p
@@ -337,18 +347,7 @@ def _a_stepper(
         low = cand & -cand
         v = low.bit_length() - 1
         u2 = pool & outside[v]  # U'
-        # lower U' once for each removed neighbour of the winner
-        nb = pool & adj[v]
-        while nb:
-            y = nb.bit_length() - 1
-            nb ^= 1 << y
-            s = adj[y] & u2
-            i = 0
-            while s:
-                cur = planes[i]
-                planes[i] = cur ^ s
-                s &= cur
-                i += 1
+        gone = pool & adj[v]  # lowered by the next call if it gets U'
         last = u2
         return smask | low, u2
 

@@ -14,7 +14,8 @@ first, which is always safe for unweighted independence.  A search state
 is the bitmask pair (avail, chosen), and sizes are read from the sets.
 
 Each state also keeps the degree of every vertex within avail as
-bit-sliced counters, W bitmasks ("planes") laid out by
+bit-sliced counters, W bitmasks ("planes") that the root, like
+:func:`_smallest_last`, gets from the package's one plane builder,
 :func:`greedymis.graph.degree_planes`, in the spirit of the bitboard
 clique solvers (San Segundo, Rodriguez-Losada & Jimenez, 2011).  The top
 plane is exactly the set of degree at most 1, so the vertices waiting to
@@ -23,13 +24,14 @@ vertex of a mask by one is one carry chain of whole-set operations.
 Every removal is recorded, not applied: a state keeps ``gone``, the
 removed vertices whose neighbors in avail the planes have yet to lower,
 and each step first lowers ``adj[u] & avail`` for each u in gone, one
-carry chain per u.  A take of t removes t and its neighbor u, if any, and
-sets gone to u (t's only neighbor is gone with it); the exclude child of
-a branch on v sets it to v; the include child waits on the stack with
-N(v) as gone and a copy of its parent's planes.  Any number of removals enter as ``avail ^= r; gone |= r``.  The
-branch vertex is the lowest of maximum degree, that is of least count,
-found by one top-down scan of the planes.  A removed vertex's bits are
-stale and every read masks them off.
+carry chain per u.  A take of t removes t and its neighbor u, if any,
+and sets gone to u (t's only neighbor is gone with it); the exclude
+child of a branch on v sets it to v; the include child waits on the
+stack with N(v) as gone and a copy of its parent's planes.  Any number
+of removals enter as ``avail ^= r; gone |= r``.  The branch vertex is the
+lowest of maximum degree, that is of least count, found by one top-down
+scan of the planes.  A removed vertex's bits are stale and every read
+masks them off.
 
 Searching the exclude child first makes the first descent a greedy set:
 it keeps deleting a vertex of largest degree until the takes of degree
@@ -131,7 +133,7 @@ def exact_mis(g: Graph, max_nodes: int | None = None) -> OracleResult:
                 row |= bit[low.bit_length() - 1]
             relabelled.append(row)
         adj = relabelled
-    planes = _degree_planes(adj)
+    planes = degree_planes(adj)
     best_mask = g.full_mask & 1  # one vertex: a set to beat from the root on
     bound_prunes = 0
     nodes = 1  # search nodes entered so far, the root included
@@ -254,15 +256,6 @@ def _refuted(adj: list[int], rests: list[int]) -> bool:
     return True
 
 
-def _degree_planes(adj: list[int]) -> list[int]:
-    """The bit-sliced degree counters of every vertex of ``adj``."""
-    deg = list(map(int.bit_count, adj))
-    by_degree = [0] * (max(deg, default=0) + 1)
-    for v, d in enumerate(deg):
-        by_degree[d] |= 1 << v
-    return degree_planes(by_degree)
-
-
 def _smallest_last(adj: list[int]) -> list[int]:
     """Vertices in the order of repeatedly removing one of least remaining degree.
 
@@ -271,7 +264,7 @@ def _smallest_last(adj: list[int]) -> list[int]:
     found by one top-down scan of the planes, and a removal lowers its
     remaining neighbors with one carry chain.
     """
-    planes = _degree_planes(adj)
+    planes = degree_planes(adj)
     left = (1 << len(adj)) - 1
     order = []
     while left:

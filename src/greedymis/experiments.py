@@ -97,6 +97,8 @@ class ExperimentConfig:
             raise ValueError("n_values must be nonempty")
         if not self.algorithms:
             raise ValueError("algorithms must be nonempty")
+        if not all(isinstance(a, EngineConfig) for a in self.algorithms):
+            raise ValueError(f"algorithms must be EngineConfigs, got {self.algorithms!r}")
         names = [a.name for a in self.algorithms]
         if len(set(names)) != len(names):
             raise ValueError(f"algorithm list {names} has a repeated name")

@@ -61,24 +61,29 @@ def to_vertex_set(mask: int) -> VertexSet:
     return tuple(bits_of(mask))
 
 
-def degree_planes(by_degree: list[int]) -> list[int]:
-    """Bit-sliced degree counters of the disjoint masks ``by_degree[d]``.
+def degree_planes(adj: Iterable[int]) -> list[int]:
+    """Bit-sliced degree counters of vertices v of degree ``adj[v].bit_count()``.
 
     A vertex of degree d holds the count top - d over W bitmasks
     ("planes"): plane i is the mask of the vertices whose count has bit i
-    set.  W is the fewest planes that hold every count for
-    d < len(by_degree) with top = 2**(W-1) + 1, which makes the top plane
-    exactly the vertices of degree at most 1.  Lowering the degree of
-    every vertex of a mask s by one adds s to the counts, a carry chain
-    from plane 0 that needs no complement::
+    set.  W is the fewest planes that hold every count up to the largest
+    degree with top = 2**(W-1) + 1, which makes the top plane exactly the
+    vertices of degree at most 1.  Lowering the degree of every vertex of
+    a mask s by one adds s to the counts, a carry chain from plane 0 that
+    needs no complement::
 
         while s: c = planes[i]; planes[i] = c ^ s; s &= c; i += 1
 
-    so a higher degree is a lower count.  Every user of the planes
-    (``exact_mis``, ``exact._smallest_last`` and heuristic a's stepper in
-    the engine) follows one rule: a removed vertex u lowers its remaining
+    so a higher degree is a lower count.  This is the package's one plane
+    builder: every plane set (``exact_mis``, ``exact._smallest_last`` and
+    heuristic a's stepper in the engine) starts as a whole graph's planes
+    and changes only by one rule: a removed vertex u lowers its remaining
     neighbors, ``adj[u] & left``, with one carry chain.
     """
+    deg = list(map(int.bit_count, adj))
+    by_degree = [0] * (max(deg, default=0) + 1)
+    for v, d in enumerate(deg):
+        by_degree[d] |= 1 << v
     get = by_degree.__getitem__  # disjoint masks: their sum is their union
     return [sum(map(get, pick)) for pick in _plane_picks(len(by_degree))]
 

@@ -44,6 +44,7 @@ def test_head_against_head():
     gnm = [f"random_gnm n={n} m={4 * n}" for n in (20, 30, 40, 80)]
     members = [f"{a} target n=20 m=80" for a in ("a1", "b1", "a2", "b2")]
     members += [f"{a} target n=30 m=120" for a in ("a1", "a2", "b2")]
+    members += ["a1 target n=80 m=320"]
     members += [f"{a} full n=40 m={m}" for m in density_grid(40) for a in ("a1", "b1")]
     assert list(out["cells"]) == ["n=20 m=80", "n=25 m=300", *gnm, *members]
     keys = {"digest", "base_ms_median", "change_ms_median", "paired_ratio_geomean",

@@ -126,6 +126,8 @@ class TestConfig:
             ExperimentConfig((10,), (20, 30, 20), algos, 1, 0)  # repeated cell
         with pytest.raises(ValueError, match="n_values must be nonempty"):
             ExperimentConfig((), "4n", algos, 1, 0)
+        with pytest.raises(ValueError, match=r"must be EngineConfigs, got \('a1',\)"):
+            ExperimentConfig((5,), (3,), ("a1",), 1, 0)  # a name, not a config
         for rule in (40, (), [40]):  # m_rule is "4n" or a nonempty tuple
             with pytest.raises(ValueError, match="m rule"):
                 ExperimentConfig((10,), rule, algos, 1, 0)
@@ -212,7 +214,10 @@ class TestFailureExperiment:
             )
 
     def test_oracle_timeout_excludes_runs(self):
-        cfg = ExperimentConfig((90,), "4n", parse_algorithms("a1"), 2, 3)
+        # a budget below both runs' node counts times out both
+        n, m, seed = BUDGET_CELL
+        assert 100 < min(BUDGET_NODES)
+        cfg = ExperimentConfig((n,), (m,), parse_algorithms("a1"), 2, seed)
         report = run_failure_experiment(cfg, oracle_max_nodes=100)
         (cell,) = report.cells
         assert cell.oracle_timeouts == 2
@@ -264,9 +269,10 @@ class TestAccuracyExperiment:
         assert report.cells[0].gaps["a1"] == {0: 5}
 
     def test_budget_that_is_not_an_int_rejected(self):
-        # run 0 takes 264 nodes, so a budget of 2.5 that ran unbudgeted
-        # dropped no run
-        cfg = ExperimentConfig((90,), "4n", parse_algorithms("a1"), 2, 3)
+        # run 0 takes BUDGET_NODES[0] nodes, so a budget of 2.5 that ran
+        # unbudgeted dropped no run
+        n, m, seed = BUDGET_CELL
+        cfg = ExperimentConfig((n,), (m,), parse_algorithms("a1"), 2, seed)
         with pytest.raises(ValueError, match="max_nodes must be >= 1 and an int, got 2.5"):
             run_accuracy_experiment(cfg, oracle_max_nodes=2.5)
 

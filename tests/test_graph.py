@@ -203,7 +203,7 @@ class TestDegreePlanes:
         # vertex d has degree d: its count is top - d, the top plane is
         # degree <= 1, and lowering every vertex down to degree 0 by carry
         # chains never runs past the last plane
-        planes = degree_planes([1 << d for d in range(top_deg + 1)])
+        planes = degree_planes([(1 << d) - 1 for d in range(top_deg + 1)])
         w = len(planes)
         top = (1 << (w - 1)) + 1
         assert w == 2 or top_deg > (1 << (w - 2)) + 1  # the fewest planes
@@ -222,6 +222,6 @@ class TestDegreePlanes:
         assert [plane_count(planes, d) for d in range(top_deg + 1)] == [top] * (top_deg + 1)
 
     def test_masks_of_many_vertices(self):
-        planes = degree_planes([0b1, 0, 0b110, 0, 0b1000])  # degrees 0, 2, 2, 4
+        planes = degree_planes([0, 0b11, 0b11, 0b1111])  # degrees 0, 2, 2, 4
         top = (1 << (len(planes) - 1)) + 1
         assert [plane_count(planes, v) for v in range(4)] == [top, top - 2, top - 2, top - 4]

@@ -18,11 +18,14 @@ totals:
   30, 40 and 80, m = 4n.  The output is the graph's ``adj``.
 * members: ``run_greedy`` in target mode, with each side's own
   ``exact_mis`` witness as the target, for a1, b1, a2 and b2 on
-  n=20 m=80 and a1, a2 and b2 on n=30 m=120 (``--graphs`` graphs each),
-  and in full mode for a1 and b1 on the 12 ``density_grid(40)`` cells
-  (a fifth of ``--graphs``, at least one, each).  The output is the
-  run's witness, counters, generation sizes and ``complete``, so a change
-  that moves an oracle witness fails the target cells.
+  n=20 m=80, a1, a2 and b2 on n=30 m=120 and a1 on n=80 m=320, the
+  benchmark's ``accuracy-n80`` member and the one target cell of density
+  at most 1/4, where heuristic a runs on degree planes (``--graphs``
+  graphs each), and in full mode for a1 and b1 on the 12
+  ``density_grid(40)`` cells (a fifth of ``--graphs``, at least one,
+  each).  The output is the run's witness, counters, generation sizes
+  and ``complete``, so a change that moves an oracle witness fails the
+  target cells.
 
 Every cell is timed the same way, in ``--rounds`` rounds: each call's
 base and change run back to back, the side that goes first alternating
@@ -77,7 +80,7 @@ CELLS = ((20, 80), (30, 120), (40, 160), (60, 240), (80, 320), (100, 400),
          (25, 300), (40, 390), (60, 90), (80, 800))
 GNM_N = (20, 30, 40, 80)  # generator cells, m = 4n
 # members run to each side's own oracle witness, then full over density_grid
-TARGET_CELLS = (("a1,b1,a2,b2", 20, 80), ("a1,a2,b2", 30, 120))
+TARGET_CELLS = (("a1,b1,a2,b2", 20, 80), ("a1,a2,b2", 30, 120), ("a1", 80, 320))
 FULL_N, FULL_MEMBERS = 40, "a1,b1"
 
 

@@ -100,9 +100,8 @@ MUTANTS = (
            "        low = 1 << (cand.bit_length() - 1)\n",
            ("test_engine.py",)),
     Mutant("a-removed-vertex-not-lowered", "engine.py",
-           "        nb = pool & adj[v]\n",
-           "        nb = pool & adj[v]\n"
-           "        nb &= nb - 1\n",
+           "        gone = pool & adj[v]",
+           "        gone = pool & adj[v] & (pool & adj[v]) - 1",
            ("test_engine.py",)),
     Mutant("a-carry-inverted", "engine.py",
            "                s &= cur\n",
@@ -111,6 +110,18 @@ MUTANTS = (
     Mutant("a-planes-kept-for-any-pool", "engine.py",
            "        if pool != last:\n",
            "        if last < 0:\n",
+           ("test_engine.py",)),
+    Mutant("a-fresh-pool-not-lowered", "engine.py",
+           "gone = full ^ pool",
+           "gone = 0",
+           ("test_engine.py",)),
+    Mutant("a-only-first-removal-lowered", "engine.py",
+           "gone ^= 1 << y",
+           "gone = 0",
+           ("test_engine.py",)),
+    Mutant("a-root-planes-shared", "engine.py",
+           "planes = root[:]",
+           "planes = root",
            ("test_engine.py",)),
     # dropped: the density rule that picks the plane path for heuristic a
     # moves no output, only the time a run takes.
